@@ -88,18 +88,25 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The smoke pass plus the full-module lint benchmark, captured as
-# timestamp-free JSON so runs can be diffed byte-for-byte.
+# timestamp-free JSON so runs can be diffed byte-for-byte. One iteration
+# each: a record of what ran and its allocs/op, not timings to compare
+# (the repeated series live in BENCH_scale/store/detect.json).
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | $(GO) run ./cmd/benchjson -out BENCH_lint.json
-	@echo "wrote BENCH_lint.json"
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | $(GO) run ./cmd/benchjson -out BENCH_smoke.json
+	@echo "wrote BENCH_smoke.json"
 
-# Short fuzz passes over the dump validator, the pre-processor, and the
-# lint fact-summary extractor (no panics; byte-identical summaries
-# across independent parse/check passes).
+# Short fuzz passes over the dump validator, the pre-processor, the lint
+# fact-summary extractor (no panics; byte-identical summaries across
+# independent parse/check passes), and the differential targets that hold
+# the in-place dump cursor, BuildSnapshot and the address parsers to
+# their split-based references (same results, same error text).
 fuzz:
-	$(GO) test ./internal/core/collect -fuzz FuzzValidateDump -fuzztime 30s
-	$(GO) test ./internal/core/collect -fuzz FuzzPreprocess -fuzztime 30s
-	$(GO) test ./internal/lint -fuzz FuzzSummaryExtract -fuzztime 30s
+	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzValidateDump$$' -fuzztime 30s
+	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 30s
+	$(GO) test ./internal/lint -run '^$$' -fuzz '^FuzzSummaryExtract$$' -fuzztime 30s
+	$(GO) test ./internal/core/collect -run '^$$' -fuzz '^FuzzCursorMatchesReference$$' -fuzztime 30s
+	$(GO) test ./internal/core/tables -run '^$$' -fuzz '^FuzzBuildSnapshotMatchesReference$$' -fuzztime 30s
+	$(GO) test ./internal/addr -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 30s
 
 # The chaos suite under the race detector with shuffled test order: the
 # 220-cycle fault-injection run, the breaker lifecycle, and the scripted
@@ -117,9 +124,9 @@ bench-detect:
 
 # The sharded-collection scale benchmark, captured as timestamp-free
 # JSON: one supervised fleet cycle over a ~5k-router topology at 1, 4
-# and 16 shards.
+# and 16 shards, five runs each (the simulator step is not timed).
 bench-scale:
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleCycle' -benchtime 1x . | $(GO) run ./cmd/benchjson -out BENCH_scale.json
+	$(GO) test -run '^$$' -bench 'BenchmarkScaleCycle' -benchtime 1x -count 5 . | $(GO) run ./cmd/benchjson -out BENCH_scale.json
 	@echo "wrote BENCH_scale.json"
 
 # The series-store benchmarks, captured as timestamp-free JSON: append

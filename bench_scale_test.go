@@ -4,7 +4,8 @@
 // FIXW, the campus mrouted, and every domain border — by a shard
 // supervisor at 1, 4 and 16 shards. The measured number is the full
 // supervised fleet cycle: dispatch, per-shard collect/parse/process,
-// fan-in merge and view publication. `make bench-scale` captures the
+// fan-in merge and view publication; the simulator's Step between
+// cycles is not timed. `make bench-scale` captures five runs of the
 // series in BENCH_scale.json.
 package mantra_test
 
@@ -94,7 +95,11 @@ func BenchmarkScaleCycle(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// The simulator's step is substrate, not monitor: it
+				// stays outside the timed cycle.
+				b.StopTimer()
 				n.Step()
+				b.StartTimer()
 				res, err := s.RunCycle(n.Now())
 				if err != nil {
 					b.Fatal(err)

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output on stdin into
 // a machine-readable JSON array, one object per benchmark result line:
 //
-//	go test -run '^$' -bench . -benchtime 1x ./... | benchjson -out BENCH_lint.json
+//	go test -run '^$' -bench . -benchtime 1x ./... | benchjson -out BENCH_smoke.json
 //
 // Each object carries the package (from the preceding "pkg:" line), the
 // benchmark name with its -N parallelism suffix split off, the iteration

@@ -12,6 +12,7 @@ package mantra_test
 // slice) trips the gate.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -76,9 +77,12 @@ func TestHotpathAllocGates(t *testing.T) {
 	dumps := gateDumps(t)
 	prompt := "fixw> "
 
-	// The expect/dump parse path: per-dump costs scale with dump size,
-	// so the gates bound the whole scraped command set at once.
-	allocGate(t, "Preprocess all dumps", 1400, func() {
+	// The expect/dump parse path, bounded over the whole scraped command
+	// set at once. Preprocess still returns one string per line (one
+	// allocation per line not already in normalized form), so its cost
+	// scales with dump size; BuildSnapshot walks the raw dumps in place
+	// and allocates per table, not per row.
+	allocGate(t, "Preprocess all dumps", 700, func() {
 		for _, d := range dumps {
 			collect.Preprocess(d.Raw)
 		}
@@ -88,7 +92,7 @@ func TestHotpathAllocGates(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	allocGate(t, "BuildSnapshot", 5500, func() {
+	allocGate(t, "BuildSnapshot", 8, func() {
 		if _, err := tables.BuildSnapshot(dumps); err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +105,29 @@ func TestHotpathAllocGates(t *testing.T) {
 	allocGate(t, "Policy.Backoff", 0, func() {
 		pol.Backoff("fixw", 3)
 	})
+}
+
+// TestRenderAllocGate bounds the simulated router's DVMRP dump: it is
+// rendered into one presized buffer, so its allocations are a constant
+// that does not grow with the route count. The gate holds on a small
+// internetwork and on one with four times the domains.
+func TestRenderAllocGate(t *testing.T) {
+	var routes []int
+	for _, domains := range []int{3, 12} {
+		cfg := topo.DefaultInternetConfig()
+		cfg.NumDomains = domains
+		inet := topo.BuildInternet(cfg)
+		n := netsim.New(inet, workload.New(workload.DefaultConfig(), inet.Topo), netsim.DefaultConfig())
+		n.Step()
+		r := n.Router("fixw")
+		routes = append(routes, strings.Count(r.Execute("show ip dvmrp route"), "\n")-2)
+		allocGate(t, "Router.Execute(show ip dvmrp route)", 6, func() {
+			r.Execute("show ip dvmrp route")
+		})
+	}
+	if routes[1] < 2*routes[0] {
+		t.Fatalf("route counts %v: the larger internetwork should at least double fixw's table", routes)
+	}
 }
 
 // TestLoggerAppendSteadyStateAllocs pins logger.Append's steady state:
@@ -124,7 +151,7 @@ func TestLoggerAppendSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkHotpathParsePath tracks the expect/dump parse chain —
 // Preprocess, ValidateDumps, BuildSnapshot over one scraped command set
-// — with allocs/op reported, so BENCH_lint.json records the numbers the
+// — with allocs/op reported, so BENCH_smoke.json records the numbers the
 // gates above bound.
 func BenchmarkHotpathParsePath(b *testing.B) {
 	dumps := gateDumps(b)

@@ -51,19 +51,22 @@ func V4(a, b, c, d byte) IP {
 //
 //mantra:hotpath budget=2
 func Parse(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("addr: %q is not a dotted-quad IPv4 address", s)
 	}
 	var ip uint32
-	for _, p := range parts {
+	for rest := s; ; {
+		p, tail, more := strings.Cut(rest, ".")
 		n, err := strconv.Atoi(p)
 		if err != nil || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
 			return 0, fmt.Errorf("addr: invalid octet %q in %q", p, s)
 		}
 		ip = ip<<8 | uint32(n)
+		if !more {
+			return IP(ip), nil
+		}
+		rest = tail
 	}
-	return IP(ip), nil
 }
 
 // MustParse is like Parse but panics on malformed input.
@@ -79,14 +82,19 @@ func MustParse(s string) IP {
 // String renders the address in dotted-quad form.
 func (ip IP) String() string {
 	var b [15]byte
-	buf := strconv.AppendUint(b[:0], uint64(ip>>24), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>16&0xFF), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip>>8&0xFF), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(ip&0xFF), 10)
-	return string(buf)
+	return string(ip.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form of the address to b, the
+// allocation-free String for renderers that build one output buffer.
+func (ip IP) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(ip>>24), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(ip>>16&0xFF), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(ip>>8&0xFF), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(ip&0xFF), 10)
 }
 
 // Octets returns the four dotted-quad octets of the address.
@@ -178,7 +186,14 @@ func (p Prefix) Mask() IP { return maskFor(p.Len) }
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return p.Addr.String() + "/" + strconv.Itoa(p.Len)
+	var b [18]byte
+	return string(p.AppendTo(b[:0]))
+}
+
+// AppendTo appends the CIDR form of the prefix to b.
+func (p Prefix) AppendTo(b []byte) []byte {
+	b = append(p.Addr.AppendTo(b), '/')
+	return strconv.AppendInt(b, int64(p.Len), 10)
 }
 
 // Contains reports whether ip falls inside the prefix.

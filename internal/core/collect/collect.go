@@ -97,7 +97,6 @@ type Session struct {
 	prompt  string
 	timeout time.Duration
 	now     func() time.Time
-	buf     []byte
 }
 
 // deadliner is implemented by net.Conn and net.Pipe ends.
@@ -130,17 +129,22 @@ func (s *Session) readUntil(pattern string) (string, error) {
 		defer watchdog.Stop()
 	}
 	tmp := make([]byte, 4096)
+	// Each search covers only the bytes that arrived since the last one,
+	// plus the len(pattern)-1 before them a match could straddle, so a
+	// dump is scanned once however finely the transport splits it.
+	searched := 0
 	for {
-		if strings.Contains(sb.String(), pattern) {
+		if strings.Contains(sb.String()[searched:], pattern) {
 			return sb.String(), nil
 		}
+		searched = max(0, sb.Len()-len(pattern)+1)
 		if s.now().After(deadline) {
 			return sb.String(), fmt.Errorf("%w: %q", ErrTimeout, pattern)
 		}
 		n, err := s.conn.Read(tmp)
 		sb.Write(tmp[:n])
 		if err != nil {
-			if strings.Contains(sb.String(), pattern) {
+			if strings.Contains(sb.String()[searched:], pattern) {
 				return sb.String(), nil
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) || !s.now().Before(deadline) {
@@ -292,20 +296,15 @@ func CollectAll(t Target, commands []string, now time.Time) ([]Dump, error) {
 
 // Preprocess cleans a raw dump into trimmed, non-empty lines: excess
 // whitespace collapsed, delimiters and prompt remnants removed — the
-// paper's pre-processing step ahead of table mapping.
+// paper's pre-processing step ahead of table mapping. The table parsers
+// apply the same rules in place through ScanLines.
 //
 //mantra:hotpath budget=1
 func Preprocess(raw string) []string {
 	var out []string
-	for _, line := range strings.Split(raw, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "%") { // CLI error remnants
-			continue
-		}
-		out = append(out, strings.Join(strings.Fields(line), " "))
+	sc := ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		out = append(out, Normalize(line))
 	}
 	return out
 }

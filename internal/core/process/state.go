@@ -9,6 +9,7 @@
 package process
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -221,7 +222,7 @@ func (rs *RouteStability) ExportState() *StabilityState {
 	for p := range rs.last {
 		st.Last = append(st.Last, p)
 	}
-	sort.Slice(st.Last, func(i, j int) bool { return st.Last[i].Compare(st.Last[j]) < 0 })
+	slices.SortFunc(st.Last, addr.Prefix.Compare)
 	for p, h := range rs.byPrefix {
 		st.Prefixes = append(st.Prefixes, PrefixState{
 			Prefix:       p,
@@ -232,7 +233,7 @@ func (rs *RouteStability) ExportState() *StabilityState {
 			Up:           h.up,
 		})
 	}
-	sort.Slice(st.Prefixes, func(i, j int) bool { return st.Prefixes[i].Prefix.Compare(st.Prefixes[j].Prefix) < 0 })
+	slices.SortFunc(st.Prefixes, func(a, b PrefixState) int { return a.Prefix.Compare(b.Prefix) })
 	return st
 }
 

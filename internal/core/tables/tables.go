@@ -133,50 +133,81 @@ type Snapshot struct {
 	MBGP   []MBGPEntry
 }
 
+// The dump commands BuildSnapshot maps onto tables.
+const (
+	cmdDVMRP  = "show ip dvmrp route"
+	cmdMroute = "show ip mroute"
+	cmdIGMP   = "show ip igmp groups"
+	cmdMSDP   = "show ip msdp sa-cache"
+	cmdMBGP   = "show ip mbgp"
+)
+
+// The table parsers read a raw dump in place through collect's line and
+// field cursor, which applies collect.Preprocess's cleaning rules without
+// building its []string: each row is scanned, split and parsed in one
+// pass with no per-row allocation. A row's error quotes the row in its
+// pre-processed form.
+
 // parseUptime parses the H:MM:SS uptime format.
 //
-//mantra:hotpath budget=2
+//mantra:hotpath budget=1
 func parseUptime(s string) (time.Duration, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return 0, fmt.Errorf("tables: malformed uptime %q", s)
-	}
-	h, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	sec, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil || m > 59 || sec > 59 || h < 0 || m < 0 || sec < 0 {
+	hs, rest, ok1 := strings.Cut(s, ":")
+	ms, ss, ok2 := strings.Cut(rest, ":")
+	h, err1 := strconv.Atoi(hs)
+	m, err2 := strconv.Atoi(ms)
+	sec, err3 := strconv.Atoi(ss)
+	if !ok1 || !ok2 || err1 != nil || err2 != nil || err3 != nil || m > 59 || sec > 59 || h < 0 || m < 0 || sec < 0 {
 		return 0, fmt.Errorf("tables: malformed uptime %q", s)
 	}
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + time.Duration(sec)*time.Second, nil
 }
 
-// headerCount extracts N from a "<title> - N entries"-style header line.
-func headerCount(line string) (int, bool) {
-	i := strings.LastIndex(line, "- ")
-	if i < 0 {
+// headerCount extracts N from a dump's "<title> - N entries"-style
+// header, its first significant line: N is the field after the last
+// field that ends in "-", i.e. what follows the last "- " of the
+// pre-processed line.
+func headerCount(raw string) (int, bool) {
+	sc := collect.ScanLines(raw)
+	line, ok := sc.Next()
+	if !ok {
 		return 0, false
 	}
-	fields := strings.Fields(line[i+2:])
-	if len(fields) < 1 {
-		return 0, false
+	var prev, count string
+	for f, rest := collect.CutField(line); f != ""; f, rest = collect.CutField(rest) {
+		if strings.HasSuffix(prev, "-") {
+			count = f
+		}
+		prev = f
 	}
-	n, err := strconv.Atoi(fields[0])
+	n, err := strconv.Atoi(count)
 	return n, err == nil
 }
 
-// ParseDVMRPRoutes maps a pre-processed `show ip dvmrp route` dump to the
-// Route table.
+// rowHint sizes a table from its dump's header count, capped by the
+// dump's line count so a garbled header cannot force a huge allocation.
+func rowHint(raw string) int {
+	n, ok := headerCount(raw)
+	if !ok || n <= 0 {
+		return 0
+	}
+	return min(n, strings.Count(raw, "\n")+1)
+}
+
+// ParseDVMRPRoutes maps a raw `show ip dvmrp route` dump to the Route
+// table.
 //
 //mantra:hotpath budget=4
-func ParseDVMRPRoutes(lines []string) (RouteTable, error) {
-	var out RouteTable
-	for _, line := range lines {
-		if strings.HasPrefix(line, "DVMRP Routing Table") || strings.HasPrefix(line, "Origin-Subnet") {
+func ParseDVMRPRoutes(raw string) (RouteTable, error) {
+	out := make(RouteTable, 0, rowHint(raw))
+	sc := collect.ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		if collect.HasFieldPrefix(line, "DVMRP Routing Table") || collect.HasFieldPrefix(line, "Origin-Subnet") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("tables: dvmrp row %q has %d fields", line, len(f))
+		var f [4]string
+		if n := collect.Fields(line, f[:]); n != len(f) {
+			return nil, fmt.Errorf("tables: dvmrp row %q has %d fields", collect.Normalize(line), n)
 		}
 		p, err := addr.ParsePrefix(f[0])
 		if err != nil {
@@ -200,21 +231,26 @@ func ParseDVMRPRoutes(lines []string) (RouteTable, error) {
 		}
 		out = append(out, e)
 	}
+	if len(out) == 0 {
+		return nil, nil // an empty table is nil whatever the header claimed
+	}
 	return out, nil
 }
 
-// ParseMroute maps a pre-processed `show ip mroute` dump to the Pair table.
+// ParseMroute maps a raw `show ip mroute` dump to the Pair table.
 //
 //mantra:hotpath budget=5
-func ParseMroute(lines []string) (PairTable, error) {
-	var out PairTable
-	for _, line := range lines {
-		if strings.HasPrefix(line, "IP Multicast Forwarding Table") || strings.HasPrefix(line, "Source ") {
+func ParseMroute(raw string) (PairTable, error) {
+	out := make(PairTable, 0, rowHint(raw))
+	var flags interner
+	sc := collect.ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		if collect.HasFieldPrefix(line, "IP Multicast Forwarding Table") || collect.HasFieldPrefix(line, "Source ") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 8 {
-			return nil, fmt.Errorf("tables: mroute row %q has %d fields", line, len(f))
+		var f [8]string
+		if n := collect.Fields(line, f[:]); n != len(f) {
+			return nil, fmt.Errorf("tables: mroute row %q has %d fields", collect.Normalize(line), n)
 		}
 		src, err := addr.Parse(f[0])
 		if err != nil {
@@ -237,25 +273,50 @@ func ParseMroute(lines []string) (PairTable, error) {
 			return nil, err
 		}
 		out = append(out, PairEntry{
-			Source: src, Group: grp, Flags: f[2],
+			Source: src, Group: grp, Flags: flags.intern(f[2]),
 			RateKbps: rate, Packets: pkts, Uptime: up,
 		})
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }
 
-// ParseIGMP maps a pre-processed `show ip igmp groups` dump.
+// interner hands out one private copy of each distinct string it is
+// given. A parsed entry must not hold a substring of its raw dump — the
+// logger would then pin every scraped dump for as long as it keeps the
+// entry — and a dump has only a handful of distinct flag strings.
+type interner struct {
+	seen [8]string
+	n    int
+}
+
+func (in *interner) intern(s string) string {
+	for _, v := range in.seen[:min(in.n, len(in.seen))] {
+		if v == s {
+			return v
+		}
+	}
+	c := strings.Clone(s)
+	in.seen[in.n%len(in.seen)] = c
+	in.n++
+	return c
+}
+
+// ParseIGMP maps a raw `show ip igmp groups` dump.
 //
 //mantra:hotpath budget=3
-func ParseIGMP(lines []string) ([]IGMPEntry, error) {
+func ParseIGMP(raw string) ([]IGMPEntry, error) {
 	var out []IGMPEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "IGMP Group Membership") || strings.HasPrefix(line, "Group ") {
+	sc := collect.ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		if collect.HasFieldPrefix(line, "IGMP Group Membership") || collect.HasFieldPrefix(line, "Group ") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("tables: igmp row %q", line)
+		var f [3]string
+		if collect.Fields(line, f[:]) != len(f) {
+			return nil, fmt.Errorf("tables: igmp row %q", collect.Normalize(line))
 		}
 		g, err := addr.Parse(f[0])
 		if err != nil {
@@ -274,18 +335,19 @@ func ParseIGMP(lines []string) ([]IGMPEntry, error) {
 	return out, nil
 }
 
-// ParseMSDP maps a pre-processed `show ip msdp sa-cache` dump.
+// ParseMSDP maps a raw `show ip msdp sa-cache` dump.
 //
 //mantra:hotpath budget=3
-func ParseMSDP(lines []string) ([]SAEntry, error) {
-	var out []SAEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "MSDP Source-Active Cache") || strings.HasPrefix(line, "Source ") {
+func ParseMSDP(raw string) ([]SAEntry, error) {
+	out := make([]SAEntry, 0, rowHint(raw))
+	sc := collect.ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		if collect.HasFieldPrefix(line, "MSDP Source-Active Cache") || collect.HasFieldPrefix(line, "Source ") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("tables: msdp row %q", line)
+		var f [4]string
+		if collect.Fields(line, f[:]) != len(f) {
+			return nil, fmt.Errorf("tables: msdp row %q", collect.Normalize(line))
 		}
 		s, err := addr.Parse(f[0])
 		if err != nil {
@@ -307,27 +369,32 @@ func ParseMSDP(lines []string) ([]SAEntry, error) {
 		}
 		out = append(out, SAEntry{Source: s, Group: g, OriginRP: rp, Uptime: up})
 	}
+	if len(out) == 0 {
+		return nil, nil
+	}
 	return out, nil
 }
 
-// ParseMBGP maps a pre-processed `show ip mbgp` dump.
+// ParseMBGP maps a raw `show ip mbgp` dump.
 //
 //mantra:hotpath budget=5
-func ParseMBGP(lines []string) ([]MBGPEntry, error) {
-	var out []MBGPEntry
-	for _, line := range lines {
-		if strings.HasPrefix(line, "MBGP Table") || strings.HasPrefix(line, "Network ") {
+func ParseMBGP(raw string) ([]MBGPEntry, error) {
+	out := make([]MBGPEntry, 0, rowHint(raw))
+	sc := collect.ScanLines(raw)
+	for line, ok := sc.Next(); ok; line, ok = sc.Next() {
+		if collect.HasFieldPrefix(line, "MBGP Table") || collect.HasFieldPrefix(line, "Network ") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 4 {
-			return nil, fmt.Errorf("tables: mbgp row %q", line)
+		var f [3]string
+		n := collect.Fields(line, f[:])
+		if n <= len(f) {
+			return nil, fmt.Errorf("tables: mbgp row %q", collect.Normalize(line))
 		}
 		p, err := addr.ParsePrefix(f[0])
 		if err != nil {
 			return nil, err
 		}
-		e := MBGPEntry{Prefix: p}
+		e := MBGPEntry{Prefix: p, ASPath: make([]int, n-len(f))}
 		if f[1] == "local" {
 			e.Local = true
 		} else if e.NextHop, err = addr.Parse(f[1]); err != nil {
@@ -336,14 +403,22 @@ func ParseMBGP(lines []string) ([]MBGPEntry, error) {
 		if e.Uptime, err = parseUptime(f[2]); err != nil {
 			return nil, err
 		}
-		for _, as := range f[3:] {
-			v, err := strconv.Atoi(as)
-			if err != nil {
+		// The AS path is every field after the first three.
+		path := line
+		for range f {
+			_, path = collect.CutField(path)
+		}
+		for i := range e.ASPath {
+			var as string
+			as, path = collect.CutField(path)
+			if e.ASPath[i], err = strconv.Atoi(as); err != nil {
 				return nil, fmt.Errorf("tables: mbgp AS %q", as)
 			}
-			e.ASPath = append(e.ASPath, v)
 		}
 		out = append(out, e)
+	}
+	if len(out) == 0 {
+		return nil, nil
 	}
 	return out, nil
 }
@@ -362,19 +437,18 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 		if d.Target != sn.Target {
 			return nil, fmt.Errorf("tables: mixed targets %q and %q", sn.Target, d.Target)
 		}
-		lines := collect.Preprocess(d.Raw)
 		var err error
 		switch d.Command {
-		case "show ip dvmrp route":
-			sn.Routes, err = ParseDVMRPRoutes(lines)
-		case "show ip mroute":
-			sn.Pairs, err = ParseMroute(lines)
-		case "show ip igmp groups":
-			sn.IGMP, err = ParseIGMP(lines)
-		case "show ip msdp sa-cache":
-			sn.SAs, err = ParseMSDP(lines)
-		case "show ip mbgp":
-			sn.MBGP, err = ParseMBGP(lines)
+		case cmdDVMRP:
+			sn.Routes, err = ParseDVMRPRoutes(d.Raw)
+		case cmdMroute:
+			sn.Pairs, err = ParseMroute(d.Raw)
+		case cmdIGMP:
+			sn.IGMP, err = ParseIGMP(d.Raw)
+		case cmdMSDP:
+			sn.SAs, err = ParseMSDP(d.Raw)
+		case cmdMBGP:
+			sn.MBGP, err = ParseMBGP(d.Raw)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tables: %s %q: %w", d.Target, d.Command, err)
@@ -384,28 +458,20 @@ func BuildSnapshot(dumps []collect.Dump) (*Snapshot, error) {
 	// mismatch means a truncated capture (a dropped telnet session was
 	// a real failure mode for expect-driven collection).
 	for _, d := range dumps {
-		lines := collect.Preprocess(d.Raw)
-		if len(lines) == 0 {
-			continue
-		}
-		want, ok := headerCount(lines[0])
-		if !ok {
-			continue
-		}
 		var got int
 		switch d.Command {
-		case "show ip dvmrp route":
+		case cmdDVMRP:
 			got = len(sn.Routes)
-		case "show ip mroute":
+		case cmdMroute:
 			got = len(sn.Pairs)
-		case "show ip msdp sa-cache":
+		case cmdMSDP:
 			got = len(sn.SAs)
-		case "show ip mbgp":
+		case cmdMBGP:
 			got = len(sn.MBGP)
 		default:
 			continue
 		}
-		if got != want {
+		if want, ok := headerCount(d.Raw); ok && got != want {
 			return nil, fmt.Errorf("tables: %s %q truncated: header says %d entries, parsed %d",
 				d.Target, d.Command, want, got)
 		}

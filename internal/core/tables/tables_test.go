@@ -14,15 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-func pre(s string) []string { return collect.Preprocess(s) }
-
 func TestParseDVMRPRoutes(t *testing.T) {
 	raw := `DVMRP Routing Table - 2 entries
 Origin-Subnet       From-Gateway     Metric  Uptime
 128.111.0.0/16      198.32.255.3     3       12:30:00
 10.0.0.0/8          local            0       100:00:05
 `
-	rt, err := tables.ParseDVMRPRoutes(pre(raw))
+	rt, err := tables.ParseDVMRPRoutes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func TestParseDVMRPRoutesMalformed(t *testing.T) {
 		"1.2.3.300/8 gw 1 0:00:00",      // bad prefix
 		"1.0.0.0/8 999.1.1.1 1 0:00:00", // bad gateway
 	} {
-		if _, err := tables.ParseDVMRPRoutes(pre(raw)); err == nil {
+		if _, err := tables.ParseDVMRPRoutes(raw); err == nil {
 			t.Errorf("parse of %q succeeded", raw)
 		}
 	}
@@ -60,7 +58,7 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 128.111.41.2     224.2.0.1        DP     12   -              0.0       17          1:00:00
 130.207.8.4      224.2.0.1        ST     3    4,7            64.5      12345       0:30:00
 `
-	pt, err := tables.ParseMroute(pre(raw))
+	pt, err := tables.ParseMroute(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,28 +75,28 @@ Source           Group            Flags  IIF  OIFs           Kbps      Pkts     
 
 func TestParseUptimeValidation(t *testing.T) {
 	raw := "1.1.1.1 224.1.1.1 D 0 - 1.0 5 0:99:00"
-	if _, err := tables.ParseMroute(pre(raw)); err == nil {
+	if _, err := tables.ParseMroute(raw); err == nil {
 		t.Error("minutes > 59 accepted")
 	}
 }
 
 func TestParseIGMPAndMSDPAndMBGP(t *testing.T) {
-	igmp, err := tables.ParseIGMP(pre(`IGMP Group Membership - 1 groups, 1 members
+	igmp, err := tables.ParseIGMP(`IGMP Group Membership - 1 groups, 1 members
 Group            Host             Uptime
-224.2.0.1        128.111.41.10    0:30:00`))
+224.2.0.1        128.111.41.10    0:30:00`)
 	if err != nil || len(igmp) != 1 || igmp[0].Host != addr.MustParse("128.111.41.10") {
 		t.Errorf("igmp = %+v err=%v", igmp, err)
 	}
-	sas, err := tables.ParseMSDP(pre(`MSDP Source-Active Cache - 1 entries
+	sas, err := tables.ParseMSDP(`MSDP Source-Active Cache - 1 entries
 Source           Group            Origin-RP        Uptime
-128.111.41.2     224.2.0.1        198.32.255.3     1:00:00`))
+128.111.41.2     224.2.0.1        198.32.255.3     1:00:00`)
 	if err != nil || len(sas) != 1 || sas[0].OriginRP != addr.MustParse("198.32.255.3") {
 		t.Errorf("msdp = %+v err=%v", sas, err)
 	}
-	mb, err := tables.ParseMBGP(pre(`MBGP Table - 2 entries
+	mb, err := tables.ParseMBGP(`MBGP Table - 2 entries
 Network             Next-Hop         Uptime    Path
 128.111.0.0/16      198.32.1.2       1:00:00   7001 131
-10.0.0.0/8          local            2:00:00   64001`))
+10.0.0.0/8          local            2:00:00   64001`)
 	if err != nil || len(mb) != 2 {
 		t.Fatalf("mbgp = %+v err=%v", mb, err)
 	}

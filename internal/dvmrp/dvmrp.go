@@ -13,6 +13,7 @@
 package dvmrp
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -269,7 +270,7 @@ func (c *Cloud) Table(id topo.NodeID) []Route {
 	for _, r := range rs.table {
 		out = append(out, *r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
+	slices.SortFunc(out, func(a, b Route) int { return a.Prefix.Compare(b.Prefix) })
 	return out
 }
 

@@ -38,26 +38,22 @@ func (f Flag) Has(q Flag) bool { return f&q == q }
 
 // String renders the flags in mrouted/cisco-like letters.
 func (f Flag) String() string {
-	buf := make([]byte, 0, 5)
-	if f.Has(FlagDense) {
-		buf = append(buf, 'D')
+	var b [5]byte
+	return string(f.AppendTo(b[:0]))
+}
+
+// AppendTo appends the flag letters (D, S, P, T, R), or "-" for none.
+func (f Flag) AppendTo(b []byte) []byte {
+	n := len(b)
+	for i, c := range "DSPTR" {
+		if f.Has(1 << i) {
+			b = append(b, byte(c))
+		}
 	}
-	if f.Has(FlagSparse) {
-		buf = append(buf, 'S')
+	if len(b) == n {
+		b = append(b, '-')
 	}
-	if f.Has(FlagPruned) {
-		buf = append(buf, 'P')
-	}
-	if f.Has(FlagSPT) {
-		buf = append(buf, 'T')
-	}
-	if f.Has(FlagRegister) {
-		buf = append(buf, 'R')
-	}
-	if len(buf) == 0 {
-		return "-"
-	}
-	return string(buf)
+	return b
 }
 
 // Key identifies an (S,G) entry.

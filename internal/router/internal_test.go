@@ -13,8 +13,8 @@ func TestFmtDur(t *testing.T) {
 		-time.Second:     "0:00:00",
 	}
 	for d, want := range cases {
-		if got := fmtDur(d); got != want {
-			t.Errorf("fmtDur(%v) = %q, want %q", d, got, want)
+		if got := string(appendDur([]byte{}, d)); got != want {
+			t.Errorf("appendDur(%v) = %q, want %q", d, got, want)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -117,44 +118,101 @@ const helpText = `Available commands:
   exit
 `
 
-// fmtDur renders a duration as H:MM:SS (hours unbounded), the uptime
+// The table dumps are rendered by appending into one presized buffer:
+// strconv for numbers, AppendTo for addresses and manual padding for the
+// fixed-width columns, byte-for-byte what the per-row fmt.Fprintf of the
+// formats noted on each renderer produced, without formatting through
+// interfaces per row. Every column holds ASCII, so byte width is column
+// width.
+
+// pad appends spaces until the column that began at start is w wide:
+// fmt's %-*s and %-*d.
+func pad(b []byte, start, w int) []byte {
+	for n := len(b) - start; n < w; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendDur appends a duration as H:MM:SS (hours unbounded), the uptime
 // format the table parsers consume.
-func fmtDur(d time.Duration) string {
+func appendDur(b []byte, d time.Duration) []byte {
 	if d < 0 {
 		d = 0
 	}
 	total := int64(d / time.Second)
-	return fmt.Sprintf("%d:%02d:%02d", total/3600, total/60%60, total%60)
+	b = strconv.AppendInt(b, total/3600, 10)
+	m, s := total/60%60, total%60
+	return append(b, ':', byte('0'+m/10), byte('0'+m%10), ':', byte('0'+s/10), byte('0'+s%10))
+}
+
+// appendInts appends a comma- or space-separated integer list, or "-"
+// when it is empty and dash is set.
+func appendInts[T int | uint16](b []byte, vs []T, sep byte, dash bool) []byte {
+	if len(vs) == 0 && dash {
+		return append(b, '-')
+	}
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+// appendHeader appends "<title> - <n> <unit>\n".
+func appendHeader(b []byte, title string, n int, unit string) []byte {
+	b = append(b, title...)
+	b = append(b, " - "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, ' ')
+	b = append(b, unit...)
+	return append(b, '\n')
+}
+
+// loopback appends the loopback address of router id, or alt when the
+// topology has no such router.
+func (r *Router) loopback(b []byte, id topo.NodeID, alt string) []byte {
+	if n := r.Topo.Router(id); n != nil {
+		return n.Loopback.AppendTo(b)
+	}
+	return append(b, alt...)
 }
 
 func (r *Router) showVersion() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s uptime is %s\n", r.Spec.Name, fmtDur(24*time.Hour))
+	fmt.Fprintf(&b, "%s uptime is %s\n", r.Spec.Name, string(appendDur(nil, 24*time.Hour)))
 	fmt.Fprintf(&b, "mode %s, loopback %s, domain %q\n", r.Spec.Mode, r.Spec.Loopback, r.Spec.Domain)
 	return b.String()
 }
 
+// showDVMRPRoute renders rows as "%-19s %-16s %-7d %s\n".
 func (r *Router) showDVMRPRoute() string {
-	now := r.Clock.Now()
-	var b strings.Builder
+	const title = "DVMRP Routing Table"
 	if r.DVMRP == nil || !r.DVMRP.HasRouter(r.Spec.ID) {
-		b.WriteString("DVMRP Routing Table - 0 entries\n")
-		return b.String()
+		return title + " - 0 entries\n"
 	}
+	now := r.Clock.Now()
 	routes := r.DVMRP.Table(r.Spec.ID)
-	fmt.Fprintf(&b, "DVMRP Routing Table - %d entries\n", len(routes))
-	b.WriteString("Origin-Subnet       From-Gateway     Metric  Uptime\n")
+	b := make([]byte, 0, 96+64*len(routes))
+	b = appendHeader(b, title, len(routes), "entries")
+	b = append(b, "Origin-Subnet       From-Gateway     Metric  Uptime\n"...)
 	for _, rt := range routes {
-		gw := "local"
-		if rt.Via != dvmrp.SelfOrigin {
-			if n := r.Topo.Router(rt.Via); n != nil {
-				gw = n.Loopback.String()
-			}
+		col := len(b)
+		b = append(pad(rt.Prefix.AppendTo(b), col, 19), ' ')
+		col = len(b)
+		if rt.Via == dvmrp.SelfOrigin {
+			b = append(b, "local"...)
+		} else {
+			b = r.loopback(b, rt.Via, "local")
 		}
-		fmt.Fprintf(&b, "%-19s %-16s %-7d %s\n",
-			rt.Prefix, gw, rt.Metric, fmtDur(now.Sub(rt.Since)))
+		b = append(pad(b, col, 16), ' ')
+		col = len(b)
+		b = append(pad(strconv.AppendInt(b, int64(rt.Metric), 10), col, 7), ' ')
+		b = append(appendDur(b, now.Sub(rt.Since)), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (r *Router) showDVMRPNeighbors() string {
@@ -176,73 +234,86 @@ func (r *Router) showDVMRPNeighbors() string {
 	return b.String()
 }
 
+// showMroute renders rows as
+// "%-16s %-16s %-6s %-4d %-14s %-9.1f %-11d %s\n".
 func (r *Router) showMroute() string {
 	now := r.Clock.Now()
 	entries := r.FWD.Entries()
-	var b strings.Builder
-	fmt.Fprintf(&b, "IP Multicast Forwarding Table - %d entries\n", len(entries))
-	b.WriteString("Source           Group            Flags  IIF  OIFs           Kbps      Pkts        Uptime\n")
+	b := make([]byte, 0, 128+112*len(entries))
+	b = appendHeader(b, "IP Multicast Forwarding Table", len(entries), "entries")
+	b = append(b, "Source           Group            Flags  IIF  OIFs           Kbps      Pkts        Uptime\n"...)
 	for _, e := range entries {
-		oifs := "-"
-		if len(e.OIFs) > 0 {
-			parts := make([]string, len(e.OIFs))
-			for i, o := range e.OIFs {
-				parts[i] = fmt.Sprintf("%d", o)
-			}
-			oifs = strings.Join(parts, ",")
-		}
-		fmt.Fprintf(&b, "%-16s %-16s %-6s %-4d %-14s %-9.1f %-11d %s\n",
-			e.Key.Source, e.Key.Group, e.Flags, e.IIF, oifs,
-			e.RateKbps, e.Packets, fmtDur(now.Sub(e.Created)))
+		col := len(b)
+		b = append(pad(e.Key.Source.AppendTo(b), col, 16), ' ')
+		col = len(b)
+		b = append(pad(e.Key.Group.AppendTo(b), col, 16), ' ')
+		col = len(b)
+		b = append(pad(e.Flags.AppendTo(b), col, 6), ' ')
+		col = len(b)
+		b = append(pad(strconv.AppendInt(b, int64(e.IIF), 10), col, 4), ' ')
+		col = len(b)
+		b = append(pad(appendInts(b, e.OIFs, ',', true), col, 14), ' ')
+		col = len(b)
+		b = append(pad(strconv.AppendFloat(b, e.RateKbps, 'f', 1, 64), col, 9), ' ')
+		col = len(b)
+		b = append(pad(strconv.AppendUint(b, e.Packets, 10), col, 11), ' ')
+		b = append(appendDur(b, now.Sub(e.Created)), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
+// showIGMPGroups renders rows as "%-16s %-16s %s\n".
 func (r *Router) showIGMPGroups() string {
 	now := r.Clock.Now()
-	var b strings.Builder
 	groups := r.IGMP.Groups()
 	total := 0
 	for _, g := range groups {
 		total += r.IGMP.MemberCount(g)
 	}
-	fmt.Fprintf(&b, "IGMP Group Membership - %d groups, %d members\n", len(groups), total)
-	b.WriteString("Group            Host             Uptime\n")
+	b := make([]byte, 0, 96+48*total)
+	b = append(b, "IGMP Group Membership - "...)
+	b = strconv.AppendInt(b, int64(len(groups)), 10)
+	b = append(b, " groups, "...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, " members\n"...)
+	b = append(b, "Group            Host             Uptime\n"...)
 	for _, g := range groups {
 		for _, m := range r.IGMP.Members(g) {
-			fmt.Fprintf(&b, "%-16s %-16s %s\n", m.Group, m.Host, fmtDur(now.Sub(m.Since)))
+			col := len(b)
+			b = append(pad(m.Group.AppendTo(b), col, 16), ' ')
+			col = len(b)
+			b = append(pad(m.Host.AppendTo(b), col, 16), ' ')
+			b = append(appendDur(b, now.Sub(m.Since)), '\n')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
+// showPIMGroups renders rows as "%-16s %-16s %-4d %-14s %-6s %s\n".
 func (r *Router) showPIMGroups() string {
 	now := r.Clock.Now()
 	stars := r.PIM.Stars()
-	var b strings.Builder
-	fmt.Fprintf(&b, "PIM Group Table - %d entries\n", len(stars))
-	b.WriteString("Group            RP               IIF  OIFs           Local  Uptime\n")
+	b := make([]byte, 0, 96+96*len(stars))
+	b = appendHeader(b, "PIM Group Table", len(stars), "entries")
+	b = append(b, "Group            RP               IIF  OIFs           Local  Uptime\n"...)
 	for _, s := range stars {
-		rp := "-"
-		if n := r.Topo.Router(s.RP); n != nil {
-			rp = n.Loopback.String()
-		}
-		oifs := "-"
-		if len(s.OIFs) > 0 {
-			parts := make([]string, len(s.OIFs))
-			for i, o := range s.OIFs {
-				parts[i] = fmt.Sprintf("%d", o)
-			}
-			oifs = strings.Join(parts, ",")
-		}
+		col := len(b)
+		b = append(pad(s.Group.AppendTo(b), col, 16), ' ')
+		col = len(b)
+		b = append(pad(r.loopback(b, s.RP, "-"), col, 16), ' ')
+		col = len(b)
+		b = append(pad(strconv.AppendInt(b, int64(s.IIF), 10), col, 4), ' ')
+		col = len(b)
+		b = append(pad(appendInts(b, s.OIFs, ',', true), col, 14), ' ')
+		col = len(b)
 		local := "no"
 		if s.LocalMembers {
 			local = "yes"
 		}
-		fmt.Fprintf(&b, "%-16s %-16s %-4d %-14s %-6s %s\n",
-			s.Group, rp, s.IIF, oifs, local, fmtDur(now.Sub(s.Created)))
+		b = append(pad(append(b, local...), col, 6), ' ')
+		b = append(appendDur(b, now.Sub(s.Created)), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (r *Router) showPIMNeighbors() string {
@@ -271,50 +342,56 @@ func (r *Router) showPIMNeighbors() string {
 	return b.String()
 }
 
+// showMSDPSACache renders rows as "%-16s %-16s %-16s %s\n".
 func (r *Router) showMSDPSACache() string {
-	now := r.Clock.Now()
-	var b strings.Builder
+	const title = "MSDP Source-Active Cache"
 	if r.MSDP == nil || !r.MSDP.HasRP(r.Spec.ID) {
-		b.WriteString("MSDP Source-Active Cache - 0 entries\n")
-		return b.String()
+		return title + " - 0 entries\n"
 	}
+	now := r.Clock.Now()
 	cache := r.MSDP.Cache(r.Spec.ID)
-	fmt.Fprintf(&b, "MSDP Source-Active Cache - %d entries\n", len(cache))
-	b.WriteString("Source           Group            Origin-RP        Uptime\n")
+	b := make([]byte, 0, 96+72*len(cache))
+	b = appendHeader(b, title, len(cache), "entries")
+	b = append(b, "Source           Group            Origin-RP        Uptime\n"...)
 	for _, e := range cache {
-		rp := "-"
-		if n := r.Topo.Router(e.OriginRP); n != nil {
-			rp = n.Loopback.String()
-		}
-		fmt.Fprintf(&b, "%-16s %-16s %-16s %s\n",
-			e.Source, e.Group, rp, fmtDur(now.Sub(e.First)))
+		col := len(b)
+		b = append(pad(e.Source.AppendTo(b), col, 16), ' ')
+		col = len(b)
+		b = append(pad(e.Group.AppendTo(b), col, 16), ' ')
+		col = len(b)
+		b = append(pad(r.loopback(b, e.OriginRP, "-"), col, 16), ' ')
+		b = append(appendDur(b, now.Sub(e.First)), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
+// showMBGP renders rows as "%-19s %-16s %-9s %s\n", the last column
+// the AS path.
 func (r *Router) showMBGP() string {
-	now := r.Clock.Now()
-	var b strings.Builder
+	const title = "MBGP Table"
 	if r.MBGP == nil || !r.MBGP.HasSpeaker(r.Spec.ID) {
-		b.WriteString("MBGP Table - 0 entries\n")
-		return b.String()
+		return title + " - 0 entries\n"
 	}
+	now := r.Clock.Now()
 	routes := r.MBGP.Table(r.Spec.ID)
-	fmt.Fprintf(&b, "MBGP Table - %d entries\n", len(routes))
-	b.WriteString("Network             Next-Hop         Uptime    Path\n")
+	b := make([]byte, 0, 96+72*len(routes))
+	b = appendHeader(b, title, len(routes), "entries")
+	b = append(b, "Network             Next-Hop         Uptime    Path\n"...)
 	for _, rt := range routes {
-		hop := "local"
-		if rt.Via != mbgp.SelfOrigin {
-			hop = rt.NextHop.String()
+		col := len(b)
+		b = append(pad(rt.Prefix.AppendTo(b), col, 19), ' ')
+		col = len(b)
+		if rt.Via == mbgp.SelfOrigin {
+			b = append(b, "local"...)
+		} else {
+			b = rt.NextHop.AppendTo(b)
 		}
-		parts := make([]string, len(rt.ASPath))
-		for i, as := range rt.ASPath {
-			parts[i] = fmt.Sprintf("%d", as)
-		}
-		fmt.Fprintf(&b, "%-19s %-16s %-9s %s\n",
-			rt.Prefix, hop, fmtDur(now.Sub(rt.Since)), strings.Join(parts, " "))
+		b = append(pad(b, col, 16), ' ')
+		col = len(b)
+		b = append(pad(appendDur(b, now.Sub(rt.Since)), col, 9), ' ')
+		b = append(appendInts(b, rt.ASPath, ' ', false), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // HandleSession runs a login-then-REPL CLI session over rw, returning when
