@@ -124,7 +124,8 @@ bench-detect:
 
 # The sharded-collection scale benchmark, captured as timestamp-free
 # JSON: one supervised fleet cycle over a ~5k-router topology at 1, 4
-# and 16 shards, five runs each (the simulator step is not timed).
+# and 16 shards, five runs each (the simulator step is not timed), plus
+# a median/min/max summary row per shard count.
 bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleCycle' -benchtime 1x -count 5 . | $(GO) run ./cmd/benchjson -out BENCH_scale.json
 	@echo "wrote BENCH_scale.json"
@@ -132,9 +133,10 @@ bench-scale:
 # The series-store benchmarks, captured as timestamp-free JSON: append
 # throughput, compression ratio over ten years of cycles (floor: 5x vs
 # raw CSV), and cold mirror query latency (floor: far under one
-# 30-minute cycle).
+# 30-minute cycle). Five runs each; benchjson adds a median/min/max
+# summary row per benchmark.
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchtime 1x . | $(GO) run ./cmd/benchjson -out BENCH_store.json
+	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchtime 1x -count 5 . | $(GO) run ./cmd/benchjson -out BENCH_store.json
 	@echo "wrote BENCH_store.json"
 
 # The shard-supervisor chaos proofs under the race detector: worker

@@ -180,13 +180,17 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 	}
 
 	// Replay the WAL tail — the cycles between the checkpoint and the
-	// crash — through the same processing the live path uses.
+	// crash — through the replay step shard handoff uses too. The WAL
+	// holds no health, so the ledger is re-derived from the outcomes.
 	for _, ev := range ra.Events {
+		// The aggregate view is synthetic: the live path gives it no
+		// stability tracker or health entry, so neither does replay.
+		collected := ev.Target != AggregateTarget
+		m.engine.Replay(m.proc, ev, collected)
 		if ev.Gap {
 			report.GapsReplayed++
-			m.proc.MarkGap(ev.Target, ev.At)
 			switch {
-			case ev.Target == AggregateTarget:
+			case !collected:
 			case strings.Contains(ev.Reason, collect.ErrBreakerOpen.Error()):
 				// A breaker-open skip is not a fresh failure; replaying it
 				// as one would inflate the failure counters past what the
@@ -198,12 +202,8 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 			continue
 		}
 		report.CyclesReplayed++
-		m.proc.IngestCounts(ev.Snapshot, ev.SACache, ev.MBGPRoutes)
 		m.engine.SetLatest(ev.Target, ev.Snapshot)
-		if ev.Target != AggregateTarget {
-			// The aggregate view is synthetic: the live path gives it no
-			// stability tracker or health entry, so neither does replay.
-			m.engine.ObserveStability(ev.Snapshot)
+		if collected {
 			m.collector.RecordSuccess(ev.Target, ev.At)
 		}
 	}

@@ -6,7 +6,10 @@
 // Each object carries the package (from the preceding "pkg:" line), the
 // benchmark name with its -N parallelism suffix split off, the iteration
 // count, and every value/unit metric pair go test printed (ns/op, B/op,
-// allocs/op, custom units). The output is deliberately timestamp-free:
+// allocs/op, custom units). When one benchmark appears several times
+// (from -count N), a summary row follows the raw rows for each such
+// benchmark: the run count and the median, min and max of every metric.
+// The output is deliberately timestamp-free:
 // two runs over identical results produce identical bytes, so benchmark
 // JSON can be diffed and committed like any other artifact.
 package main
@@ -17,16 +20,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
+// benchResult is one output row: a raw result line (Iterations and
+// Metrics) or, for a benchmark seen more than once, its summary (Runs,
+// Median, Min and Max).
 type benchResult struct {
 	Package    string             `json:"package,omitempty"`
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Iterations int64              `json:"iterations,omitempty"`
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Runs       int                `json:"runs,omitempty"`
+	Median     map[string]float64 `json:"median,omitempty"`
+	Min        map[string]float64 `json:"min,omitempty"`
+	Max        map[string]float64 `json:"max,omitempty"`
 }
 
 func main() {
@@ -46,7 +57,7 @@ func main() {
 	var buf strings.Builder
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(append(results, summarize(results)...)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
 	}
@@ -102,4 +113,51 @@ func parse(sc *bufio.Scanner) ([]benchResult, error) {
 		}
 	}
 	return results, sc.Err()
+}
+
+// summarize returns one summary row per benchmark (package, name and
+// procs) that has more than one raw row, in order of first appearance.
+// Each metric's median is the middle value, or the mean of the two
+// middle values for an even run count.
+func summarize(results []benchResult) []benchResult {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	var order []key
+	runs := make(map[key][]benchResult)
+	for _, r := range results {
+		k := key{r.Package, r.Name, r.Procs}
+		if runs[k] == nil {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], r)
+	}
+	var out []benchResult
+	for _, k := range order {
+		rs := runs[k]
+		if len(rs) < 2 {
+			continue
+		}
+		sum := benchResult{Package: k.pkg, Name: k.name, Procs: k.procs, Runs: len(rs),
+			Median: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{}}
+		values := make(map[string][]float64)
+		for _, r := range rs {
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		for unit, vs := range values {
+			sort.Float64s(vs)
+			n := len(vs)
+			sum.Min[unit], sum.Max[unit] = vs[0], vs[n-1]
+			if n%2 == 1 {
+				sum.Median[unit] = vs[n/2]
+			} else {
+				sum.Median[unit] = (vs[n/2-1] + vs[n/2]) / 2
+			}
+		}
+		out = append(out, sum)
+	}
+	return out
 }

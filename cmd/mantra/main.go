@@ -292,7 +292,11 @@ func runSharded(sc shardedConfig) {
 	if err != nil {
 		log.Fatalf("mantra: shards: %v", err)
 	}
-	defer s.Close()
+	defer func() {
+		if err := s.Close(); err != nil {
+			log.Printf("mantra: shard wal close: %v", err)
+		}
+	}()
 	for _, spec := range sc.targets {
 		parts := strings.SplitN(spec, "=", 2)
 		if len(parts) != 2 {

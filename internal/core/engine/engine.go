@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core/collect"
+	"repro/internal/core/logger"
 	"repro/internal/core/process"
 	"repro/internal/core/tables"
 )
@@ -219,6 +220,24 @@ func (e *Engine) ObserveStability(sn *tables.Snapshot) {
 	// the single ordered-stage goroutine (or recovery, before cycles
 	// start), the lock guards just the state map.
 	rs.Observe(sn.Routes, sn.At)
+}
+
+// Replay folds one replayed cycle (logger.Logger.Replay/ReplayGap)
+// into a target's processing state — the single replay step archive
+// recovery and shard handoff share. A delta re-ingests the materialized
+// tables with the logged MSDP/MBGP magnitudes and, when observe is set,
+// folds its routes into the target's stability tracker; synthetic views
+// such as the aggregate get no tracker on the live path, so they pass
+// false. A gap marks every series of the target.
+func (e *Engine) Replay(p *process.Processor, ev logger.ReplayEvent, observe bool) {
+	if ev.Gap {
+		p.MarkGap(ev.Target, ev.At)
+		return
+	}
+	p.IngestCounts(ev.Snapshot, ev.SACache, ev.MBGPRoutes)
+	if observe {
+		e.ObserveStability(ev.Snapshot)
+	}
 }
 
 // StabilityTrackers returns the current per-target stability trackers —

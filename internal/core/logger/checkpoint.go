@@ -52,6 +52,29 @@ type ReplayEvent struct {
 	Reason string
 }
 
+// Replay applies one committed delta record and returns its replay
+// event, carrying the tables as materialized after it. This is the one
+// apply-then-materialize step both replay paths share: Recover over a
+// WAL tail, and shard handoff over a target's committed in-memory tail.
+func (l *Logger) Replay(target string, rec CycleRecord, fullEntries uint64) ReplayEvent {
+	l.ApplyRecord(target, rec, fullEntries)
+	sn, _ := l.Materialized(target)
+	return ReplayEvent{
+		Target:     target,
+		At:         rec.At,
+		Snapshot:   sn,
+		SACache:    rec.SACache,
+		MBGPRoutes: rec.MBGPRoutes,
+	}
+}
+
+// ReplayGap records one committed gap marker and returns its replay
+// event — Replay's counterpart for failed cycles.
+func (l *Logger) ReplayGap(target string, at time.Time, reason string) ReplayEvent {
+	l.MarkGap(target, at, reason)
+	return ReplayEvent{Target: target, At: at, Gap: true, Reason: reason}
+}
+
 // RecoveredArchive is the result of replaying checkpoint plus WAL tail.
 type RecoveredArchive struct {
 	// Logger holds the fully rebuilt delta log.
@@ -84,18 +107,9 @@ func (s *Store) Recover() *RecoveredArchive {
 	for _, r := range s.tail {
 		switch r.Kind {
 		case recDelta:
-			ra.Logger.ApplyRecord(r.Target, r.Rec, r.FullEntries)
-			sn, _ := ra.Logger.Materialized(r.Target)
-			ra.Events = append(ra.Events, ReplayEvent{
-				Target:     r.Target,
-				At:         r.Rec.At,
-				Snapshot:   sn,
-				SACache:    r.Rec.SACache,
-				MBGPRoutes: r.Rec.MBGPRoutes,
-			})
+			ra.Events = append(ra.Events, ra.Logger.Replay(r.Target, r.Rec, r.FullEntries))
 		case recGap:
-			ra.Logger.MarkGap(r.Target, r.At, r.Reason)
-			ra.Events = append(ra.Events, ReplayEvent{Target: r.Target, At: r.At, Gap: true, Reason: r.Reason})
+			ra.Events = append(ra.Events, ra.Logger.ReplayGap(r.Target, r.At, r.Reason))
 		case recMeta:
 			// Target announced but no cycle survived; materialize it empty.
 			ra.Logger.target(r.Target)

@@ -1,0 +1,524 @@
+package shard
+
+// The handoff oracle. A moved target no longer travels as a full
+// export taken after every cycle: its new owner imports the target's
+// last staggered checkpoint and replays the cycles committed since. The
+// oracle holds that to the mechanism it replaced. After every cycle the
+// target commits, it takes the old per-cycle export (oldExport, kept
+// here as the reference), and whenever the target changes owner it
+// checks that the new owner's state equals, byte for byte, that export
+// imported the old way with the same blind-window gap markers applied:
+// the processor's TargetState (anomaly IDs normalised as the fleet view
+// dedups them), the logger's TargetState, the StabilityState, health
+// and the latest snapshot.
+//
+// Every kill mode is driven at every checkpoint phase — every tail
+// length 0..11 at the moment of death — with and without a data dir,
+// against a fleet with scheduled incidents (so anomaly episodes open
+// and resolve inside tails) and scripted collection failures on the
+// target (so tails hold gap entries and the health ledger moves).
+//
+// One divergence is intended and pinned here rather than hidden: the
+// anomaly ring is capped per processor (MaxAnomalies) and evicts
+// across all the targets it holds. The old export carried the dead
+// shard's ring as its own eviction history left it; replay rebuilds
+// the target's episodes on the survivor, whose ring evicts by its own
+// history. The oracle therefore runs with no eviction and asserts so,
+// and TestHandoffOracleEvictionDiverges shows the difference.
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/addr"
+	"repro/internal/core/collect"
+	"repro/internal/core/logger"
+	"repro/internal/core/process"
+	"repro/internal/core/tables"
+	"repro/internal/netsim"
+	"repro/internal/topo"
+	"repro/internal/workload"
+)
+
+const oracleTarget = "fixw"
+
+var oracleTargets = []string{"fixw", "ucsb-r1", "dom00-gw", "dom01-gw"}
+
+// oldRecord is one target's old per-cycle export.
+type oldRecord struct {
+	at        time.Time
+	proc      *process.TargetState
+	log       logger.TargetState
+	hasLog    bool
+	stab      *process.StabilityState
+	health    collect.TargetHealth
+	hasHealth bool
+	latest    *tables.Snapshot
+}
+
+// oldExport is the export every shard worker used to take of every
+// target after every committed cycle.
+func oldExport(c *shardCore, name string, at time.Time) *oldRecord {
+	r := &oldRecord{at: at, proc: c.proc.ExportTarget(name), latest: c.eng.Latest(name)}
+	r.log, r.hasLog = c.log.ExportTarget(name)
+	if rs := c.eng.Stability(name); rs != nil {
+		r.stab = rs.ExportState()
+	}
+	r.health, r.hasHealth = c.collector.TargetHealth(name)
+	return r
+}
+
+// oldImport is the receiving side that export fed.
+func oldImport(c *shardCore, name string, r *oldRecord, now time.Time) {
+	c.proc.ImportTarget(name, r.proc)
+	if r.hasLog {
+		c.log.ImportTarget(name, r.log)
+	}
+	if r.stab != nil {
+		c.eng.SetStability(name, process.StabilityFromState(r.stab))
+	} else {
+		c.eng.SetStability(name, nil)
+	}
+	c.collector.ResetTarget(name)
+	if r.hasHealth {
+		c.collector.RestoreHealth(r.health, now)
+	}
+	c.eng.SetLatest(name, r.latest)
+}
+
+// canonProc is a processor TargetState with its maps flattened in key
+// order and its anomaly IDs normalised, so equal states gob-encode to
+// equal bytes.
+type canonProc struct {
+	Target    string
+	Series    []canonSeries
+	Store     []canonStore
+	LastRoute []addr.Prefix
+	BaseStart int
+	HasBase   bool
+	Anomalies []process.Anomaly
+	Open      []process.OpenTransfer
+}
+
+type canonSeries struct {
+	Metric process.Metric
+	Series *process.Series
+}
+
+type canonStore struct {
+	Metric string
+	Blocks [][]byte
+	Head   []byte
+}
+
+// canonicalProc flattens st. Anomalies are normalised the way the fleet
+// view dedups them: per (kind, open time) the copy with the highest
+// local ID wins, the survivors are ordered by (open time, kind) and
+// re-keyed from 1, and open episodes follow their record.
+func canonicalProc(t *testing.T, st *process.TargetState) canonProc {
+	t.Helper()
+	if st == nil {
+		return canonProc{}
+	}
+	c := canonProc{Target: st.Target, BaseStart: st.BaseStart, HasBase: st.HasBase}
+	for m, s := range st.Series {
+		c.Series = append(c.Series, canonSeries{Metric: m, Series: s})
+	}
+	sort.Slice(c.Series, func(i, j int) bool { return c.Series[i].Metric < c.Series[j].Metric })
+	if st.Store != nil {
+		for m, ss := range st.Store.Series {
+			c.Store = append(c.Store, canonStore{Metric: m, Blocks: ss.Blocks, Head: gobBytes(t, ss.Head)})
+		}
+		sort.Slice(c.Store, func(i, j int) bool { return c.Store[i].Metric < c.Store[j].Metric })
+	}
+	for p := range st.LastRoute {
+		c.LastRoute = append(c.LastRoute, p)
+	}
+	slices.SortFunc(c.LastRoute, addr.Prefix.Compare)
+
+	type key struct {
+		kind string
+		at   int64
+	}
+	best := map[key]int{} // key -> index into st.Anomalies
+	for i, a := range st.Anomalies {
+		k := key{a.Kind, a.At.UnixNano()}
+		if j, ok := best[k]; !ok || a.ID > st.Anomalies[j].ID {
+			best[k] = i
+		}
+	}
+	keep := make([]int, 0, len(best))
+	for _, i := range best {
+		keep = append(keep, i)
+	}
+	sort.Slice(keep, func(x, y int) bool {
+		a, b := st.Anomalies[keep[x]], st.Anomalies[keep[y]]
+		if !a.At.Equal(b.At) {
+			return a.At.Before(b.At)
+		}
+		return a.Kind < b.Kind
+	})
+	newIdx := map[int]int{}
+	for n, i := range keep {
+		a := st.Anomalies[i]
+		a.ID = n + 1
+		newIdx[i] = n
+		c.Anomalies = append(c.Anomalies, a)
+	}
+	for _, o := range st.Open {
+		if n, ok := newIdx[o.Index]; ok {
+			c.Open = append(c.Open, process.OpenTransfer{Kind: o.Kind, Index: n, Frozen: o.Frozen})
+		} else {
+			t.Errorf("open %s episode points at a superseded anomaly copy", o.Kind)
+		}
+	}
+	sort.Slice(c.Open, func(i, j int) bool { return c.Open[i].Kind < c.Open[j].Kind })
+	return c
+}
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oracleParts names the compared pieces of a target's state, in
+// report order. "anomalies" is the processor TargetState's episode list
+// and open episodes; "processor" is the rest of it.
+var oracleParts = []string{"processor", "anomalies", "logger", "stability", "health", "latest"}
+
+// oracleBytes renders the compared pieces of a target's state.
+func oracleBytes(t *testing.T, r *oldRecord) map[string][]byte {
+	t.Helper()
+	stab := r.stab
+	if stab == nil {
+		stab = &process.StabilityState{}
+	}
+	latest := r.latest
+	if latest == nil {
+		latest = &tables.Snapshot{}
+	}
+	proc := canonicalProc(t, r.proc)
+	anoms := struct {
+		Anomalies []process.Anomaly
+		Open      []process.OpenTransfer
+	}{proc.Anomalies, proc.Open}
+	proc.Anomalies, proc.Open = nil, nil
+	return map[string][]byte{
+		"processor": gobBytes(t, proc),
+		"anomalies": gobBytes(t, anoms),
+		"logger": gobBytes(t, struct {
+			Has bool
+			S   logger.TargetState
+		}{r.hasLog, r.log}),
+		"stability": gobBytes(t, stab),
+		"health": gobBytes(t, struct {
+			Has bool
+			H   collect.TargetHealth
+		}{r.hasHealth, r.health}),
+		"latest": gobBytes(t, latest),
+	}
+}
+
+// flakyDialer fails every dial while *down is set: scripted collection
+// failures that put gap entries in the target's tail.
+type flakyDialer struct {
+	inner collect.Dialer
+	down  *bool
+}
+
+func (d flakyDialer) Dial() (io.ReadWriteCloser, error) {
+	if *d.down {
+		return nil, errors.New("oracle: scripted dial failure")
+	}
+	return d.inner.Dial()
+}
+
+type oracleFleet struct {
+	n    *netsim.Network
+	s    *Supervisor
+	down bool
+}
+
+func newOracleFleet(t *testing.T, dataDir string, mut func(*Config)) *oracleFleet {
+	t.Helper()
+	icfg := topo.DefaultInternetConfig()
+	icfg.NumDomains = 4
+	inet := topo.BuildInternet(icfg)
+	ncfg := netsim.DefaultConfig()
+	ncfg.FlapPerDomainPerCycle = 0
+	ncfg.RestartPerCycle = 0
+	n := netsim.New(inet, workload.New(workload.DefaultConfig(), inet.Topo), ncfg)
+	if err := n.Track(oracleTargets...); err != nil {
+		t.Fatal(err)
+	}
+	n.Step()
+	n.Step()
+	n.TransitionDomain("dom00")
+	cfg := Config{
+		Shards: 3,
+		// 45-minute timeout over 30-minute cycles: one wedged cycle is
+		// tolerated, the second is stale.
+		HeartbeatTimeout:  45 * time.Minute,
+		RestartBackoff:    time.Hour, // two cycles
+		MaxRestartBackoff: time.Hour,
+		Policy: collect.Policy{
+			MaxAttempts:      2,
+			BreakerThreshold: 3,
+			BreakerCooldown:  time.Hour,
+			Sleep:            func(time.Duration) {},
+		},
+		// Large enough that no ring evicts during the run.
+		MaxAnomalies: 1 << 16,
+		DataDir:      dataDir,
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	f := &oracleFleet{n: n, s: s}
+	for _, name := range oracleTargets {
+		r := n.Router(name)
+		r.Password = "pw"
+		var d collect.Dialer = collect.PipeDialer{Router: r}
+		if name == oracleTarget {
+			d = flakyDialer{inner: d, down: &f.down}
+		}
+		s.Register(collect.Target{Name: name, Dialer: d, Password: "pw", Prompt: name + "> ", Timeout: 5 * time.Second})
+	}
+	return f
+}
+
+// incidents schedules a watched-at-fixw library incident every 15
+// cycles, so anomaly episodes open, persist and resolve across tails.
+func (f *oracleFleet) incidents(t *testing.T, cycle int) {
+	t.Helper()
+	if cycle%15 != 3 {
+		return
+	}
+	names := []string{"sa-storm", "route-leak", "unicast-injection"}
+	sc, err := netsim.LibraryScenario(names[(cycle/15)%len(names)], 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.n.ScheduleScenario(sc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expected is what the old mechanism would leave on the new owner: the
+// reference export imported the old way into a scratch core, plus the
+// blind-window gap markers the handoff places.
+func (f *oracleFleet) expected(t *testing.T, ref *oldRecord, now time.Time) *oldRecord {
+	t.Helper()
+	scratch, err := newCore(f.s.cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldImport(scratch, oracleTarget, ref, now)
+	if err := f.s.markBlind(&worker{core: scratch}, oracleTarget, ref.at, now); err != nil {
+		t.Fatal(err)
+	}
+	return oldExport(scratch, oracleTarget, now)
+}
+
+// diff returns the parts of the target's state on its owner that
+// differ from what the old mechanism would have left there.
+func (f *oracleFleet) diff(t *testing.T, ref *oldRecord, now time.Time) []string {
+	t.Helper()
+	owner := f.s.workers[f.s.assign[oracleTarget]]
+	got := oracleBytes(t, oldExport(owner.core, oracleTarget, now))
+	want := oracleBytes(t, f.expected(t, ref, now))
+	var out []string
+	for _, part := range oracleParts {
+		if !bytes.Equal(got[part], want[part]) {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
+// oracleRun is what one oracle run exercised.
+type oracleRun struct {
+	cycles, moves, secondHandoffs, gapCycles int
+	// anomalyMoves counts moves whose reference held episodes of the
+	// target; openMoves those with an episode still open.
+	anomalyMoves, openMoves int
+	// diverged counts moves per differing part.
+	diverged map[string]int
+	// evicted is the anomaly records evicted fleet-wide.
+	evicted uint64
+}
+
+func TestHandoffOracle(t *testing.T) {
+	modes := []struct {
+		name string
+		mode KillMode
+	}{
+		{"KillBeforeCycle", KillBeforeCycle},
+		{"KillMidCycle", KillMidCycle},
+		{"Wedge", Wedge},
+	}
+	for _, m := range modes {
+		for _, durable := range []bool{false, true} {
+			name := m.name + "/memory"
+			if durable {
+				name = m.name + "/datadir"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				dir := ""
+				if durable {
+					dir = t.TempDir()
+				}
+				run := runHandoffOracle(t, newOracleFleet(t, dir, nil), m.mode)
+				if run.evicted != 0 {
+					t.Fatalf("%d anomaly records evicted; the oracle's ring is meant never to evict", run.evicted)
+				}
+				for part, n := range run.diverged {
+					t.Errorf("%s state differed from the old export on %d of %d moves", part, n, run.moves)
+				}
+				if run.moves < 2*ckptPeriod || run.secondHandoffs != 1 || run.gapCycles == 0 ||
+					run.anomalyMoves == 0 || run.openMoves == 0 {
+					t.Fatalf("oracle too weak: %+v", run)
+				}
+			})
+		}
+	}
+}
+
+// runHandoffOracle kills the target's owner once for each tail length
+// 0..11 at the moment of death and compares the target's state at every
+// owner change: each handoff and each failback to the restarted shard.
+// The first episode also kills the survivor before the target's next
+// checkpoint turn — a second handoff of the same target.
+func runHandoffOracle(t *testing.T, f *oracleFleet, mode KillMode) oracleRun {
+	t.Helper()
+	s := f.s
+	run := oracleRun{diverged: map[string]int{}}
+	var ref *oldRecord
+	covered := map[int]bool{}
+	killAt, secondKill := -1, false
+	victims := map[int]int{} // killed shard -> its generation at the kill
+	for cycle := 1; len(covered) < ckptPeriod || len(victims) > 0; cycle++ {
+		if cycle > 300 {
+			t.Fatalf("covered tail lengths %v after %d cycles", covered, cycle)
+		}
+		f.incidents(t, cycle)
+		// Scripted failures on cycles 7..8 of every 13: gap entries in
+		// the tail, and a failure streak in the health ledger.
+		f.down = cycle%13 == 7 || cycle%13 == 8
+		f.n.Step()
+		now := f.n.Now()
+
+		before, had := s.assign[oracleTarget]
+		res := s.boundary(now)
+		for _, err := range res.WALErrs {
+			t.Fatal(err)
+		}
+		if after, ok := s.assign[oracleTarget]; ok && (!had || after != before) {
+			if ref == nil {
+				t.Fatalf("cycle %d: %s moved before it ever committed", cycle, oracleTarget)
+			}
+			run.moves++
+			if ref.proc != nil && len(ref.proc.Anomalies) > 0 {
+				run.anomalyMoves++
+			}
+			if ref.proc != nil && len(ref.proc.Open) > 0 {
+				run.openMoves++
+			}
+			for _, part := range f.diff(t, ref, now) {
+				run.diverged[part]++
+			}
+		}
+		for v, gen := range victims {
+			if w := s.workers[v]; w.alive && w.gen > gen {
+				delete(victims, v)
+			}
+		}
+		s.collect(now, res)
+		for _, err := range res.WALErrs {
+			t.Fatal(err)
+		}
+
+		owner, ok := s.assign[oracleTarget]
+		if !ok || slices.Contains(res.Blind, oracleTarget) {
+			continue
+		}
+		if slices.Contains(res.Degraded, oracleTarget) {
+			run.gapCycles++
+		}
+		// The target only moves after a kill: at the handoff, or at the
+		// failback once the killed shard restarts. So the reference is
+		// taken at a kill and while a killed shard is down; a move
+		// against a stale one would fail the comparison, not pass it.
+		kill := false
+		if secondKill && s.cycle == killAt+2 {
+			// The first episode's handoff landed at this boundary: kill
+			// the survivor before the target's next checkpoint turn.
+			if (s.cycle-ckptPhase(oracleTarget))%ckptPeriod == 0 {
+				t.Fatalf("cycle %d is the target's turn; the second handoff would not replay a tail", s.cycle)
+			}
+			kill, secondKill = true, false
+			run.secondHandoffs++
+		} else if tail := len(s.workers[owner].record(oracleTarget).tail); len(victims) == 0 && !covered[tail] {
+			covered[tail] = true
+			kill = true
+			if killAt < 0 {
+				killAt, secondKill = s.cycle, true
+			}
+		}
+		if kill || len(victims) > 0 {
+			ref = oldExport(s.workers[owner].core, oracleTarget, now)
+		}
+		if kill {
+			s.Kill(owner, mode)
+			victims[owner] = s.workers[owner].gen
+		}
+	}
+	run.cycles = s.cycle
+	for _, w := range s.workers {
+		run.evicted += w.core.proc.AnomaliesEvicted()
+	}
+	return run
+}
+
+// TestHandoffOracleEvictionDiverges pins the one intended divergence.
+// With a one-record anomaly ring, every shard's ring evicts constantly
+// and by its own history: the old export carried only what the dead
+// shard's ring still held, while replay re-detects the tail's episodes
+// on the survivor, whose ring keeps or drops them by its own pressure.
+// The episode list may therefore differ — and does on this timeline —
+// but nothing else about the moved target may.
+func TestHandoffOracleEvictionDiverges(t *testing.T) {
+	f := newOracleFleet(t, "", func(c *Config) { c.MaxAnomalies = 1 })
+	run := runHandoffOracle(t, f, KillMidCycle)
+	if run.evicted == 0 {
+		t.Fatal("the one-record rings never evicted; the divergence is not exercised")
+	}
+	if run.diverged["anomalies"] == 0 {
+		t.Errorf("no move diverged in its episode list across %d moves; if eviction no longer shows, this pin is stale", run.moves)
+	}
+	for part, n := range run.diverged {
+		if part != "anomalies" {
+			t.Errorf("%s state differed from the old export on %d of %d moves under eviction", part, n, run.moves)
+		}
+	}
+}

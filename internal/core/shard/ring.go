@@ -14,7 +14,6 @@
 package shard
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -35,15 +34,25 @@ type vnode struct {
 // the low bits), turning the ring into one giant arc per shard; the
 // finalizer scrambles every bit so the arcs interleave.
 func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := fnv1a(s)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// fnv1a is the 64-bit FNV-1a hash of s, computed in place (hash/fnv
+// would copy s into a []byte and offers an error return that never
+// fires).
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // buildRing constructs the sorted virtual-node ring over the live shard

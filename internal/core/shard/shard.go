@@ -8,14 +8,18 @@
 // injected cycle timeline — a worker whose goroutine exited (crash) or
 // whose last completed cycle is older than the heartbeat timeout
 // (wedge) is declared dead at the next cycle boundary, never from a
-// wall clock. A dead worker's targets hand off to the survivors:
-// each moved target resumes from the shard checkpoint — WAL/delta
-// chain, health ledger, breaker position, route-stability tracker and
-// open anomaly episodes all transfer through the per-target
-// export/import seams — with explicit gap markers covering the cycles
-// the fleet was blind to. Restarts are supervised with bounded
-// exponential backoff; a restored shard steals its ring ranges back
-// (failback) through the same live transfer, with no blind window.
+// wall clock. A dead worker's targets hand off to the survivors the
+// way archive recovery restarts a monitor: each moved target's last
+// staggered checkpoint (taken on the target's own turn, one cycle in
+// twelve) is imported on its new owner and the cycles the dead worker
+// committed since are replayed through the same step recovery uses, so
+// the delta chain, route-stability tracker and open anomaly episodes
+// resume exactly; the health ledger (breaker position included) and
+// latest snapshot are restored as of the last committed cycle. Explicit
+// gap markers cover the cycles the fleet was blind to. Restarts are
+// supervised with bounded exponential backoff; a restored shard steals
+// its ring ranges back (failback) through a live export of the
+// survivor's state, with no blind window.
 //
 // The determinism contract extends to the fleet: collection is
 // target-local and the fan-in (tables.MergeSnapshots, sorted fleet
@@ -210,8 +214,7 @@ func New(cfg Config) (*Supervisor, error) {
 	for i := range s.workers {
 		w, err := s.spawn(i, 0)
 		if err != nil {
-			s.closeWorkers()
-			return nil, err
+			return nil, errors.Join(err, s.closeWorkers())
 		}
 		s.workers[i] = w
 	}
@@ -234,6 +237,7 @@ func (s *Supervisor) spawn(idx, gen int) (*worker, error) {
 		reqCh:   make(chan cycleReq, 1),
 		respCh:  make(chan cycleResp, 1),
 		done:    make(chan struct{}),
+		ckpt:    make(map[string]*targetCkpt),
 		alive:   true,
 		backoff: s.cfg.RestartBackoff,
 	}
@@ -290,22 +294,36 @@ func (s *Supervisor) Kill(idx int, mode KillMode) {
 	w.mu.Unlock()
 }
 
-// RunCycle drives one fleet cycle stamped at now: detect and hand off
-// dead workers, restart those whose backoff expired, dispatch each live
-// shard's targets, gather, and merge the fan-in views.
+// RunCycle drives one fleet cycle stamped at now: the cycle boundary
+// (hand off dead workers, restart those whose backoff expired), then
+// dispatch each live shard's targets, gather, and merge the fan-in
+// views.
 func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
+	res := s.boundary(now)
+	s.collect(now, res)
+	return res, nil
+}
+
+// boundary opens the cycle stamped at now: it records the stamp, hands
+// off dead workers and restarts those whose backoff expired. Every
+// state transfer happens here, while all workers are idle.
+func (s *Supervisor) boundary(now time.Time) *CycleResult {
 	s.cycle++
 	s.cycleTimes = append(s.cycleTimes, now)
 	if len(s.cycleTimes) > 4096 {
 		s.cycleTimes = append(s.cycleTimes[:0:0], s.cycleTimes[len(s.cycleTimes)-4096:]...)
 	}
 	res := &CycleResult{At: now}
-	res.Handoffs = s.reap(now)
-	s.restartDue(now)
+	s.reap(now, res)
+	s.restartDue(now, res)
+	return res
+}
 
+// collect runs the cycle's collection: dispatch, gather and fan-in.
+func (s *Supervisor) collect(now time.Time, res *CycleResult) {
 	// Dispatch: every live worker gets a request (an empty one still
 	// heartbeats), targets in global registration order.
 	byShard := make([][]collect.Target, len(s.workers))
@@ -324,7 +342,7 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 		}
 		w.markDispatch(now)
 		dispatched[i] = true
-		w.reqCh <- cycleReq{now: now, targets: byShard[i]}
+		w.reqCh <- cycleReq{now: now, cycle: s.cycle, targets: byShard[i]}
 	}
 
 	// Gather in shard order; per-target results keyed for the final
@@ -388,20 +406,20 @@ func (s *Supervisor) RunCycle(now time.Time) (*CycleResult, error) {
 		s.fleetProc.MarkGap(FleetTarget, now)
 		s.publish(nil)
 	}
-	return res, nil
 }
 
-// reap declares dead workers and hands their targets off to survivors.
-func (s *Supervisor) reap(now time.Time) int {
-	events := 0
-	for _, w := range s.workers {
+// reap declares dead workers and hands their targets off to survivors,
+// counting the events and any WAL errors on res.
+func (s *Supervisor) reap(now time.Time, res *CycleResult) {
+	for i, w := range s.workers {
 		if w == nil || !w.alive || !s.isDead(w, now) {
 			continue
 		}
-		s.handoff(w, now)
-		events++
+		if err := s.handoff(w, now); err != nil {
+			res.WALErrs = append(res.WALErrs, fmt.Errorf("shard %d handoff: %w", i, err))
+		}
+		res.Handoffs++
 	}
-	return events
 }
 
 // isDead reports crash (goroutine exited) or heartbeat staleness on the
@@ -420,9 +438,11 @@ func (s *Supervisor) isDead(w *worker, now time.Time) bool {
 }
 
 // handoff moves a dead worker's targets to the survivors, resuming each
-// from the dead shard's checkpoint with gap markers covering the blind
-// cycles, and schedules the restart.
-func (s *Supervisor) handoff(w *worker, now time.Time) {
+// from its handoff record — checkpoint plus committed tail — with gap
+// markers covering the blind cycles, and schedules the restart. The
+// returned error joins the dead shard's WAL close error and any failed
+// gap-marker append; the handoff itself always completes.
+func (s *Supervisor) handoff(w *worker, now time.Time) error {
 	w.alive = false
 	w.deadAt = now
 	w.restartAt = now.Add(w.backoff)
@@ -435,29 +455,26 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 	// for the eventual restart.
 	close(w.reqCh)
 	<-w.done
+	var errs []error
 	if w.core.store != nil {
-		w.core.store.Close()
+		errs = append(errs, w.core.store.Close())
 		w.core.store = nil
 	}
 	s.handoffs++
 
-	ck := w.checkpointRef()
-	if ck == nil {
-		ck = newCheckpoint()
-	}
 	live := s.liveShards()
 	if len(live) == 0 {
 		// No survivors: the targets go unassigned (blind) until a
-		// restart succeeds. The checkpoint dies with the worker, so
-		// each target restarts fresh; we remember where coverage ended
-		// so the eventual new owner can gap-mark the whole dark window.
+		// restart succeeds. The records die with the worker, so each
+		// target restarts fresh; we remember where coverage ended so
+		// the eventual new owner can gap-mark the whole dark window.
 		for name, sh := range s.assign {
 			if sh == w.idx {
-				s.lost[name] = ck.asOf[name]
+				s.lost[name] = w.record(name).asOf
 				delete(s.assign, name)
 			}
 		}
-		return
+		return errors.Join(errs...)
 	}
 	ring := buildRing(live)
 	prev := s.prevCycleTime(now)
@@ -465,26 +482,30 @@ func (s *Supervisor) handoff(w *worker, now time.Time) {
 		if s.assign[t.Name] != w.idx {
 			continue
 		}
+		r := w.record(t.Name)
 		dst := assignTarget(ring, t.Name)
 		o := s.workers[dst]
-		o.core.importTarget(t.Name, ck, now)
-		s.markBlind(o, t.Name, ck.asOf[t.Name], now)
+		o.core.restoreTarget(t.Name, r, now)
+		errs = append(errs, s.markBlind(o, t.Name, r.asOf, now))
 		s.assign[t.Name] = dst
 		s.moved++
 		s.refreshCkpt(o, t.Name, prev)
 	}
+	return errors.Join(errs...)
 }
 
 // markBlind gap-marks the recorded cycles in (asOf, now) for a target
 // on its new owner: the fleet was blind to the target there, and the
 // record must say so explicitly — on the series, the delta log and the
-// WAL.
-func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) {
+// WAL. It returns the first WAL append error; the in-memory markers
+// are placed regardless.
+func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) error {
 	if r := s.regAt[name]; r.After(asOf) {
 		// Never collected before its registration point; don't invent
 		// blindness for cycles that predate the target.
 		asOf = r
 	}
+	var werr error
 	for _, ct := range s.cycleTimes {
 		if !ct.After(asOf) || !ct.Before(now) {
 			continue
@@ -492,14 +513,18 @@ func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) {
 		o.core.proc.MarkGap(name, ct)
 		o.core.log.MarkGap(name, ct, handoffGapReason)
 		if o.core.store != nil {
-			o.core.store.AppendGap(name, ct, handoffGapReason)
+			if err := o.core.store.AppendGap(name, ct, handoffGapReason); err != nil && werr == nil {
+				werr = err
+			}
 		}
 	}
+	return werr
 }
 
 // restartDue restarts dead workers whose backoff expired and fails
-// their ring ranges back with a live transfer (no blind window).
-func (s *Supervisor) restartDue(now time.Time) {
+// their ring ranges back with a live transfer (no blind window),
+// recording any WAL errors on res.
+func (s *Supervisor) restartDue(now time.Time, res *CycleResult) {
 	for i, w := range s.workers {
 		if w == nil || w.alive || now.Before(w.restartAt) {
 			continue
@@ -529,16 +554,19 @@ func (s *Supervisor) restartDue(now time.Time) {
 			if ok {
 				src := s.workers[cur]
 				one := src.core.exportOne(t.Name)
-				one.asOf[t.Name] = prev
-				s.workers[dst].core.importTarget(t.Name, one, now)
+				one.asOf = prev
+				s.workers[dst].core.restoreTarget(t.Name, one, now)
 				src.core.removeTarget(t.Name)
+				src.setRecord(t.Name, nil)
 				s.refreshCkpt(s.workers[dst], t.Name, prev)
 				s.moved++
 				movedAny = true
 			} else if lt, lost := s.lost[t.Name]; lost {
 				// The target sat unassigned after a total outage; its
 				// state is gone but the dark window goes on the record.
-				s.markBlind(s.workers[dst], t.Name, lt, now)
+				if err := s.markBlind(s.workers[dst], t.Name, lt, now); err != nil {
+					res.WALErrs = append(res.WALErrs, fmt.Errorf("shard %d failback: %w", i, err))
+				}
 				s.refreshCkpt(s.workers[dst], t.Name, prev)
 				delete(s.lost, t.Name)
 				movedAny = true
@@ -562,33 +590,29 @@ func (s *Supervisor) prevCycleTime(now time.Time) time.Time {
 	return time.Time{}
 }
 
-// refreshCkpt folds a just-imported target into the receiving worker's
-// in-memory checkpoint, so a death before its next completed cycle
-// still hands the target off with state instead of losing it.
+// refreshCkpt gives a just-imported target a fresh checkpoint on the
+// receiving worker, so a death before its next completed cycle still
+// hands the target off with state instead of losing it.
 func (s *Supervisor) refreshCkpt(w *worker, name string, asOf time.Time) {
 	one := w.core.exportOne(name)
-	one.asOf[name] = asOf
-	w.mu.Lock()
-	if w.ckpt == nil {
-		w.ckpt = newCheckpoint()
-	}
-	w.ckpt.merge(name, one)
-	w.mu.Unlock()
+	one.asOf = asOf
+	w.setRecord(name, one)
 }
 
-// Close stops every worker goroutine and closes the WAL stores. The
-// supervisor cannot run further cycles afterwards.
+// Close stops every worker goroutine and closes the WAL stores,
+// returning their close errors. The supervisor cannot run further
+// cycles afterwards.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	s.closeWorkers()
-	return nil
+	return s.closeWorkers()
 }
 
-func (s *Supervisor) closeWorkers() {
-	for _, w := range s.workers {
+func (s *Supervisor) closeWorkers() error {
+	var errs []error
+	for i, w := range s.workers {
 		if w == nil {
 			continue
 		}
@@ -597,8 +621,11 @@ func (s *Supervisor) closeWorkers() {
 			<-w.done
 		}
 		if w.core.store != nil {
-			w.core.store.Close()
+			if err := w.core.store.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+			}
 			w.core.store = nil
 		}
 	}
+	return errors.Join(errs...)
 }

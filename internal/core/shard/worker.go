@@ -12,7 +12,10 @@
 // kill check. A worker killed mid-cycle therefore persists nothing for
 // that cycle — the frame sequence on disk never contains a cycle the
 // supervisor saw fail, which is what keeps cross-shard replay free of
-// duplicate and out-of-order frames after a handoff.
+// duplicate and out-of-order frames after a handoff. The same buffered
+// entries are then committed to each target's in-memory handoff tail,
+// so a handoff replays exactly the cycles the WAL holds, data dir or
+// not.
 package shard
 
 import (
@@ -47,7 +50,10 @@ const (
 )
 
 type cycleReq struct {
-	now     time.Time
+	now time.Time
+	// cycle is the supervisor's cycle number; with each target's name it
+	// decides the target's checkpoint turn.
+	cycle   int
 	targets []collect.Target
 }
 
@@ -57,75 +63,59 @@ type cycleResp struct {
 	err    error
 }
 
-// checkpoint is a worker's per-target state export, captured after each
-// completed (and persisted) cycle. Handoff resumes moved targets from
-// here: anything the dead worker did after its last checkpoint was
-// never persisted, so the checkpoint plus gap markers for the blind
-// cycles is exactly the durable truth. asOf records, per target, the
-// last cycle stamp the exported state accounts for — later recorded
-// cycles are the target's blind window.
-type checkpoint struct {
-	asOf   map[string]time.Time
-	proc   map[string]*process.TargetState
-	logs   map[string]logger.TargetState
-	stab   map[string]*process.StabilityState
-	health map[string]collect.TargetHealth
-	latest map[string]*tables.Snapshot
+// ckptPeriod is the staggered checkpoint period, in supervisor cycles:
+// the durable archive's default CheckpointEvery. Each target is exported
+// on its own turn, so no cycle carries the whole fleet's export.
+const ckptPeriod = 12
+
+// ckptPhase is the cycle residue, modulo ckptPeriod, on which a target
+// takes its checkpoint turn: a hash of its name.
+func ckptPhase(name string) int {
+	return int(fnv1a(name) % ckptPeriod)
 }
 
-func newCheckpoint() *checkpoint {
-	return &checkpoint{
-		asOf:   make(map[string]time.Time),
-		proc:   make(map[string]*process.TargetState),
-		logs:   make(map[string]logger.TargetState),
-		stab:   make(map[string]*process.StabilityState),
-		health: make(map[string]collect.TargetHealth),
-		latest: make(map[string]*tables.Snapshot),
-	}
-}
-
-// merge splices one target's entries from another checkpoint in —
-// used when a live import lands on a worker whose own checkpoint
-// predates the new target.
-func (ck *checkpoint) merge(name string, one *checkpoint) {
-	ck.asOf[name] = one.asOf[name]
-	if st, ok := one.proc[name]; ok {
-		ck.proc[name] = st
-	} else {
-		delete(ck.proc, name)
-	}
-	if ts, ok := one.logs[name]; ok {
-		ck.logs[name] = ts
-	} else {
-		delete(ck.logs, name)
-	}
-	if st, ok := one.stab[name]; ok {
-		ck.stab[name] = st
-	} else {
-		delete(ck.stab, name)
-	}
-	if h, ok := one.health[name]; ok {
-		ck.health[name] = h
-	} else {
-		delete(ck.health, name)
-	}
-	if sn, ok := one.latest[name]; ok {
-		ck.latest[name] = sn
-	} else {
-		delete(ck.latest, name)
-	}
-}
-
-type pendDelta struct {
+// cycleEntry is one target's outcome of one cycle as the group commit
+// writes it: a delta record (rec, stamped rec.At) or, with gap set, a
+// gap marker stamped at. The same entries buffer the cycle's WAL frames
+// and, once committed, make up the target's handoff tail.
+type cycleEntry struct {
 	target      string
+	gap         bool
+	at          time.Time
+	reason      string
 	rec         logger.CycleRecord
 	fullEntries uint64
 }
 
-type pendGap struct {
-	target string
-	at     time.Time
-	reason string
+// targetCkpt is one target's handoff record on its worker: the state
+// exported at the target's last checkpoint turn (or at its last import),
+// the cycles committed since, and the health ledger and latest snapshot
+// as of the last committed cycle. Handoff resumes the target from here
+// exactly as archive recovery resumes a monitor: import the checkpoint,
+// replay the tail. Anything the dead worker did after its last commit
+// was never persisted, so checkpoint plus tail plus gap markers for the
+// blind cycles is exactly the durable truth. asOf is the last cycle
+// stamp the record accounts for — later recorded cycles are the
+// target's blind window. Before a target's first turn the checkpoint
+// is empty and the tail starts at the target's first cycle, so replay
+// from empty state is exact.
+//
+// Health and latest are stored, not replayed: re-deriving health from
+// the tail's outcomes would lose StatusRetried and breaker timing, and
+// the materialized tables a delta replays to lack the MSDP/MBGP rows
+// the live latest snapshot carries.
+type targetCkpt struct {
+	asOf time.Time
+	// The checkpoint: nil/zero until the first turn.
+	proc *process.TargetState
+	log  logger.TargetState
+	stab *process.StabilityState
+	// The committed tail past the checkpoint, in cycle order.
+	tail []cycleEntry
+	// Health and latest snapshot after the last committed cycle.
+	health    collect.TargetHealth
+	hasHealth bool
+	latest    *tables.Snapshot
 }
 
 // shardCore is one worker's processing stack.
@@ -138,9 +128,10 @@ type shardCore struct {
 	commands  []string
 	conc      int
 
-	// Cycle-local WAL buffers, flushed by persist after the kill check.
-	pendDeltas []pendDelta
-	pendGaps   []pendGap
+	// Cycle-local WAL buffers, flushed by persist after the kill check
+	// and then committed to the targets' handoff tails.
+	pendDeltas []cycleEntry
+	pendGaps   []cycleEntry
 }
 
 func newCore(cfg Config, dir string) (*shardCore, error) {
@@ -195,11 +186,11 @@ func (c *shardCore) stages() engine.Stages {
 					reason = it.Res.Err.Error()
 				}
 				c.log.MarkGap(it.Res.Target, now, reason)
-				c.pendGaps = append(c.pendGaps, pendGap{target: it.Res.Target, at: now, reason: reason})
+				c.pendGaps = append(c.pendGaps, cycleEntry{target: it.Res.Target, at: now, gap: true, reason: reason})
 				return
 			}
 			rec := c.log.Append(it.Snapshot)
-			c.pendDeltas = append(c.pendDeltas, pendDelta{
+			c.pendDeltas = append(c.pendDeltas, cycleEntry{
 				target:      it.Snapshot.Target,
 				rec:         rec,
 				fullEntries: uint64(len(it.Snapshot.Pairs) + len(it.Snapshot.Routes)),
@@ -246,65 +237,64 @@ func (c *shardCore) persist() error {
 	return nil
 }
 
-// export captures the core's per-target state for the given targets,
-// all current as of the cycle stamped at.
-func (c *shardCore) export(at time.Time, targets []collect.Target) *checkpoint {
-	ck := newCheckpoint()
-	for _, t := range targets {
-		c.exportInto(ck, t.Name)
-		ck.asOf[t.Name] = at
-	}
-	return ck
-}
-
-// exportOne captures a single live target's state — the failback
-// transfer path, where the source is alive and current. The caller
-// stamps asOf.
-func (c *shardCore) exportOne(name string) *checkpoint {
-	ck := newCheckpoint()
-	c.exportInto(ck, name)
-	return ck
-}
-
+// exportInto captures a target's full state into its handoff record as
+// a fresh checkpoint, current as of the core's last completed cycle, and
+// truncates the record's tail. Health and latest are taken too, so a
+// record exported outside the commit path (a live import) is whole.
+//
 //mantra:statetransfer root=handoff-export
-func (c *shardCore) exportInto(ck *checkpoint, name string) {
-	if st := c.proc.ExportTarget(name); st != nil {
-		ck.proc[name] = st
-	}
-	if ts, ok := c.log.ExportTarget(name); ok {
-		ck.logs[name] = ts
-	}
+func (c *shardCore) exportInto(r *targetCkpt, name string) {
+	r.proc = c.proc.ExportTarget(name)
+	r.log, _ = c.log.ExportTarget(name)
+	r.stab = nil
 	if rs := c.eng.Stability(name); rs != nil {
-		ck.stab[name] = rs.ExportState()
+		r.stab = rs.ExportState()
 	}
-	if h, ok := c.collector.TargetHealth(name); ok {
-		ck.health[name] = h
-	}
-	if sn := c.eng.Latest(name); sn != nil {
-		ck.latest[name] = sn
-	}
+	r.health, r.hasHealth = c.collector.TargetHealth(name)
+	r.latest = c.eng.Latest(name)
+	clear(r.tail)
+	r.tail = r.tail[:0]
 }
 
-// importTarget splices one target's checkpointed state into this core —
-// the receiving side of a handoff. now anchors the restored breaker's
-// cooldown.
+// exportOne captures a single live target's state as a tail-less
+// record — the failback transfer path and the receiving side's
+// post-import checkpoint. The caller stamps asOf.
+func (c *shardCore) exportOne(name string) *targetCkpt {
+	r := &targetCkpt{}
+	c.exportInto(r, name)
+	return r
+}
+
+// restoreTarget splices one target's handoff record into this core —
+// the receiving side of a handoff or failback. The checkpoint is
+// imported, every committed cycle past it is replayed through the same
+// step archive recovery replays a WAL tail with, and the health ledger
+// and latest snapshot are restored as of the last committed cycle. now
+// anchors the restored breaker's cooldown.
 //
 //mantra:statetransfer root=handoff-import
-func (c *shardCore) importTarget(name string, ck *checkpoint, now time.Time) {
-	c.proc.ImportTarget(name, ck.proc[name])
-	if ts, ok := ck.logs[name]; ok {
-		c.log.ImportTarget(name, ts)
-	}
-	if st, ok := ck.stab[name]; ok {
-		c.eng.SetStability(name, process.StabilityFromState(st))
+func (c *shardCore) restoreTarget(name string, r *targetCkpt, now time.Time) {
+	c.proc.ImportTarget(name, r.proc)
+	c.log.ImportTarget(name, r.log)
+	if r.stab != nil {
+		c.eng.SetStability(name, process.StabilityFromState(r.stab))
 	} else {
 		c.eng.SetStability(name, nil)
 	}
-	c.collector.ResetTarget(name)
-	if h, ok := ck.health[name]; ok {
-		c.collector.RestoreHealth(h, now)
+	for i := range r.tail {
+		var ev logger.ReplayEvent
+		if e := &r.tail[i]; e.gap {
+			ev = c.log.ReplayGap(name, e.at, e.reason)
+		} else {
+			ev = c.log.Replay(name, e.rec, e.fullEntries)
+		}
+		c.eng.Replay(c.proc, ev, true)
 	}
-	c.eng.SetLatest(name, ck.latest[name])
+	c.collector.ResetTarget(name)
+	if r.hasHealth {
+		c.collector.RestoreHealth(r.health, now)
+	}
+	c.eng.SetLatest(name, r.latest)
 }
 
 // removeTarget drops a target's live state after it moved elsewhere.
@@ -332,11 +322,12 @@ type worker struct {
 	done   chan struct{}
 
 	// mu guards the fields shared between the worker goroutine and the
-	// supervisor: the scripted kill, the heartbeat and the checkpoint.
+	// supervisor: the scripted kill, the heartbeat and the per-target
+	// handoff records.
 	mu       sync.Mutex
 	kill     KillMode
 	lastBeat time.Time
-	ckpt     *checkpoint
+	ckpt     map[string]*targetCkpt
 
 	// Supervisor-owned lifecycle state (driver goroutine only).
 	alive     bool
@@ -368,12 +359,55 @@ func (w *worker) loop() {
 		}
 		items := w.core.runCycle(req.now, req.targets)
 		err := w.core.persist()
-		ck := w.core.export(req.now, req.targets)
-		w.mu.Lock()
-		w.lastBeat = req.now
-		w.ckpt = ck
-		w.mu.Unlock()
+		w.commit(req.now)
+		w.checkpointTurn(req.cycle, req.targets)
 		w.respCh <- cycleResp{items: items, err: err}
+	}
+}
+
+// commit beats the heartbeat and appends the cycle the group commit
+// just persisted to the targets' handoff records: each entry joins its
+// target's tail, next to the target's post-cycle health and latest
+// snapshot. The entries were already built for the WAL, so this is
+// bookkeeping only; once the tails have grown to their period, a cycle
+// that is no target's checkpoint turn allocates nothing here.
+//
+//mantra:hotpath
+func (w *worker) commit(now time.Time) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lastBeat = now
+	for i := range w.core.pendDeltas {
+		w.commitEntry(&w.core.pendDeltas[i], now)
+	}
+	for i := range w.core.pendGaps {
+		w.commitEntry(&w.core.pendGaps[i], now)
+	}
+}
+
+// commitEntry appends one committed cycle to its target's record.
+// Callers hold w.mu.
+func (w *worker) commitEntry(e *cycleEntry, now time.Time) {
+	r := w.ckpt[e.target]
+	if r == nil {
+		r = &targetCkpt{}
+		w.ckpt[e.target] = r
+	}
+	r.asOf = now
+	r.tail = append(r.tail, *e)
+	r.health, r.hasHealth = w.core.collector.TargetHealth(e.target)
+	r.latest = w.core.eng.Latest(e.target)
+}
+
+// checkpointTurn exports, as a fresh checkpoint, every target whose
+// staggered turn falls on this supervisor cycle, truncating its tail.
+func (w *worker) checkpointTurn(cycle int, targets []collect.Target) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, t := range targets {
+		if r := w.ckpt[t.Name]; r != nil && cycle%ckptPeriod == ckptPhase(t.Name) {
+			w.core.exportInto(r, t.Name)
+		}
 	}
 }
 
@@ -405,8 +439,25 @@ func (w *worker) beatAt() time.Time {
 	return w.lastBeat
 }
 
-func (w *worker) checkpointRef() *checkpoint {
+// record returns a target's handoff record. A target the worker never
+// committed a cycle for or imported gets an empty one, which restores
+// it from empty state.
+func (w *worker) record(name string) *targetCkpt {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.ckpt
+	if r := w.ckpt[name]; r != nil {
+		return r
+	}
+	return &targetCkpt{}
+}
+
+// setRecord installs (or, with nil, drops) a target's handoff record.
+func (w *worker) setRecord(name string, r *targetCkpt) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if r == nil {
+		delete(w.ckpt, name)
+		return
+	}
+	w.ckpt[name] = r
 }

@@ -119,7 +119,10 @@ func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock", "internal
 func TestGlobalRandFixture(t *testing.T) {
 	checkFixture(t, "globalrand", "internal/netsim")
 }
-func TestWalErrFixture(t *testing.T)   { checkFixture(t, "walerr", "internal/core/logger") }
+func TestWalErrFixture(t *testing.T) { checkFixture(t, "walerr", "internal/core/logger") }
+func TestWalErrShardFixture(t *testing.T) {
+	checkFixture(t, "walerrshard", "internal/core/shard")
+}
 func TestFloatSumFixture(t *testing.T) { checkFixture(t, "floatsum", "internal/netsim") }
 func TestLockHeldFixture(t *testing.T) { checkFixture(t, "lockheld", "internal/core/engine") }
 func TestSharedMutFixture(t *testing.T) {
@@ -363,6 +366,7 @@ func TestHotRootsPinned(t *testing.T) {
 		"(*repro/internal/core/logger.Store).openSegment",
 		"(*repro/internal/core/logger.Store).rotate",
 		"(*repro/internal/core/process.RouteStability).Observe",
+		"(*repro/internal/core/shard.worker).commit",
 		"(*repro/internal/core/tsdb.Store).Append",
 		"(*repro/internal/core/tsdb.dirWriter).openSegment",
 		"repro/internal/addr.Parse",
