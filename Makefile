@@ -77,8 +77,8 @@ bench-collect:
 bench-archive:
 	$(GO) test -run '^$$' -bench 'BenchmarkArchive' -benchtime 3s -count 3 .
 
-# The cycle-engine schedule comparison: 64 skewed targets, pipelined vs
-# barrier vs serial at the same worker-pool size. Pipelined must win.
+# The cycle-engine schedule comparison: 64 skewed targets, pipelined
+# (8 workers) vs serial. Pipelined must win.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkCycleEngine' -benchtime 10x -count 3 .
 

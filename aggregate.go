@@ -3,7 +3,6 @@ package mantra
 import (
 	"time"
 
-	"repro/internal/core/engine"
 	"repro/internal/core/tables"
 )
 
@@ -33,7 +32,7 @@ func (m *Monitor) EnableAggregation() {
 // abort it. With aggregation enabled, the merged view over the targets
 // that succeeded is processed last.
 func (m *Monitor) RunCycleConcurrent(now time.Time) ([]CycleStats, error) {
-	return m.runEngine(now, engine.Options{Concurrency: m.Concurrency()})
+	return m.runEngine(now, m.Concurrency())
 }
 
 // MergeSnapshots combines several routers' cycle snapshots into one

@@ -81,8 +81,9 @@ type archiveExtra struct {
 }
 
 // archiveState is the monitor's handle on its durable archive.
+// The store itself is the pipeline core's, which group-commits every
+// cycle's frames to it.
 type archiveState struct {
-	store           *logger.Store
 	checkpointEvery int
 	cyclesSince     int
 	report          *RecoveryReport
@@ -114,7 +115,7 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	if every <= 0 {
 		every = 12
 	}
-	st := &archiveState{store: store, checkpointEvery: every}
+	st := &archiveState{checkpointEvery: every}
 
 	report := &RecoveryReport{}
 	if store.HasData() {
@@ -129,12 +130,13 @@ func (m *Monitor) EnableArchive(cfg ArchiveConfig) (*RecoveryReport, error) {
 	}
 	st.report = report
 	m.archive = st
+	m.core.Store = store
 	// Attach the compressed-series block mirror after recovery has rebuilt
 	// the in-memory store from checkpoint + WAL replay: AttachDir repairs
 	// any torn mirror tail and reconciles sealed blocks the mirror is
 	// missing, so a crash mid-mirror-write self-heals here. A mirror
 	// attach failure degrades to in-memory-only, same as append errors.
-	if err := m.proc.Store().AttachDir(filepath.Join(cfg.Dir, "tsdb"), cfg.SyncEveryAppend); err != nil {
+	if err := m.core.Proc.Store().AttachDir(filepath.Join(cfg.Dir, "tsdb"), cfg.SyncEveryAppend); err != nil {
 		st.lastAppendErr = err.Error()
 	}
 	m.server.SetArchive(func() any { return m.ArchiveStatus() })
@@ -150,7 +152,7 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 	report.CheckpointAt = ra.CheckpointAt
 	report.Stats = ra.Stats
 
-	m.log = ra.Logger
+	m.core.Log = ra.Logger
 
 	// recoveredAt approximates "now" for breaker cooldowns: the newest
 	// instant the archive knows about, which keeps recovery correct under
@@ -168,14 +170,14 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 		if err := gob.NewDecoder(bytes.NewReader(ra.Extra)).Decode(&extra); err != nil {
 			return fmt.Errorf("mantra: checkpoint monitor state: %w", err)
 		}
-		m.proc.ImportState(extra.Proc)
+		m.core.Proc.ImportState(extra.Proc)
 		trackers := make(map[string]*process.RouteStability, len(extra.Stability))
 		for target, ss := range extra.Stability {
 			trackers[target] = process.StabilityFromState(ss)
 		}
-		m.engine.ImportStability(trackers)
+		m.core.Engine.ImportStability(trackers)
 		for _, h := range extra.Health {
-			m.collector.RestoreHealth(h, recoveredAt)
+			m.core.Collector.RestoreHealth(h, recoveredAt)
 		}
 	}
 
@@ -186,7 +188,7 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 		// The aggregate view is synthetic: the live path gives it no
 		// stability tracker or health entry, so neither does replay.
 		collected := ev.Target != AggregateTarget
-		m.engine.Replay(m.proc, ev, collected)
+		m.core.Engine.Replay(m.core.Proc, ev, collected)
 		if ev.Gap {
 			report.GapsReplayed++
 			switch {
@@ -195,55 +197,33 @@ func (m *Monitor) recoverArchive(store *logger.Store, report *RecoveryReport) er
 				// A breaker-open skip is not a fresh failure; replaying it
 				// as one would inflate the failure counters past what the
 				// monitor showed before the crash.
-				m.collector.RecordSkipped(ev.Target, ev.At)
+				m.core.Collector.RecordSkipped(ev.Target, ev.At)
 			default:
-				m.collector.RecordFailure(ev.Target, ev.At, errors.New(ev.Reason))
+				m.core.Collector.RecordFailure(ev.Target, ev.At, errors.New(ev.Reason))
 			}
 			continue
 		}
 		report.CyclesReplayed++
-		m.engine.SetLatest(ev.Target, ev.Snapshot)
+		m.core.Engine.SetLatest(ev.Target, ev.Snapshot)
 		if collected {
-			m.collector.RecordSuccess(ev.Target, ev.At)
+			m.core.Collector.RecordSuccess(ev.Target, ev.At)
 		}
 	}
 
 	// Targets fully covered by the checkpoint had no tail events; their
 	// latest snapshots are materialized from the recovered delta log.
-	for _, target := range m.log.Targets() {
+	for _, target := range m.core.Log.Targets() {
 		report.Targets = append(report.Targets, target)
-		if m.engine.Latest(target) == nil {
-			if sn, ok := m.log.Materialized(target); ok {
-				m.engine.SetLatest(target, sn)
+		if m.core.Engine.Latest(target) == nil {
+			if sn, ok := m.core.Log.Materialized(target); ok {
+				m.core.Engine.SetLatest(target, sn)
 			}
 		}
-		if sn := m.engine.Latest(target); sn != nil {
+		if sn := m.core.Engine.Latest(target); sn != nil {
 			m.refreshTables(target, sn)
 		}
 	}
 	return nil
-}
-
-// archiveAppendDelta persists one logged delta; archive write failures
-// degrade the monitor to in-memory-only for that record instead of
-// aborting the cycle, and are surfaced through ArchiveStatus.
-func (m *Monitor) archiveAppendDelta(target string, rec logger.CycleRecord, fullEntries uint64) {
-	if m.archive == nil {
-		return
-	}
-	if err := m.archive.store.AppendDelta(target, rec, fullEntries); err != nil {
-		m.archive.lastAppendErr = err.Error()
-	}
-}
-
-// archiveAppendGap persists one gap marker; failures degrade as above.
-func (m *Monitor) archiveAppendGap(target string, at time.Time, reason string) {
-	if m.archive == nil {
-		return
-	}
-	if err := m.archive.store.AppendGap(target, at, reason); err != nil {
-		m.archive.lastAppendErr = err.Error()
-	}
 }
 
 // archiveAfterCycle advances the auto-checkpoint counter.
@@ -268,11 +248,11 @@ func (m *Monitor) Checkpoint(now time.Time) error {
 	if m.archive == nil {
 		return nil
 	}
-	trackers := m.engine.StabilityTrackers()
+	trackers := m.core.Engine.StabilityTrackers()
 	extra := archiveExtra{
-		Proc:      m.proc.ExportState(),
+		Proc:      m.core.Proc.ExportState(),
 		Stability: make(map[string]*process.StabilityState, len(trackers)),
-		Health:    m.collector.Health(),
+		Health:    m.core.Collector.Health(),
 	}
 	for target, rs := range trackers {
 		extra.Stability[target] = rs.ExportState()
@@ -281,7 +261,7 @@ func (m *Monitor) Checkpoint(now time.Time) error {
 	if err := gob.NewEncoder(&buf).Encode(extra); err != nil {
 		return fmt.Errorf("mantra: checkpoint monitor state: %w", err)
 	}
-	if err := m.archive.store.WriteCheckpoint(m.log, buf.Bytes(), now); err != nil {
+	if err := m.core.Store.WriteCheckpoint(m.core.Log, buf.Bytes(), now); err != nil {
 		return err
 	}
 	m.archive.cyclesSince = 0
@@ -295,11 +275,11 @@ func (m *Monitor) ArchiveStatus() ArchiveStatus {
 		return ArchiveStatus{}
 	}
 	st := ArchiveStatus{
-		Store:           m.archive.store.Stats(),
+		Store:           m.core.Store.Stats(),
 		Recovery:        m.archive.report,
 		LastAppendError: m.archive.lastAppendErr,
 	}
-	if err := m.proc.Store().PersistErr(); err != nil {
+	if err := m.core.Proc.Store().PersistErr(); err != nil {
 		st.MirrorError = err.Error()
 	}
 	return st
@@ -312,10 +292,11 @@ func (m *Monitor) CloseArchive(now time.Time) error {
 		return nil
 	}
 	err := m.Checkpoint(now)
-	if cerr := m.archive.store.Close(); err == nil {
+	if cerr := m.core.Store.Close(); err == nil {
 		err = cerr
 	}
-	if cerr := m.proc.Store().CloseDir(); err == nil {
+	m.core.Store = nil
+	if cerr := m.core.Proc.Store().CloseDir(); err == nil {
 		err = cerr
 	}
 	m.archive = nil

@@ -23,9 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosMonitor builds a 2-router monitored network with fault injection on
-// fixw and a clean path to ucsb-r1.
-func chaosMonitor(t *testing.T, profile router.FaultProfile, policy collect.Policy) (*netsim.Network, *mantra.Monitor, *router.FaultyRouter) {
+// chaosNetwork builds a 2-router monitored network with fault injection
+// on fixw and a clean path to ucsb-r1, returning the targets to poll.
+func chaosNetwork(t *testing.T, profile router.FaultProfile) (*netsim.Network, []mantra.Target, *router.FaultyRouter) {
 	t.Helper()
 	cfg := topo.DefaultInternetConfig()
 	cfg.NumDomains = 4
@@ -39,24 +39,33 @@ func chaosMonitor(t *testing.T, profile router.FaultProfile, policy collect.Poli
 	if faulty == nil {
 		t.Fatal("no faulty router")
 	}
-	m := mantra.New()
-	m.SetCollectPolicy(policy)
 	n.Router("fixw").Password = "pw"
 	n.Router("ucsb-r1").Password = "pw"
-	m.AddTarget(mantra.Target{
+	targets := []mantra.Target{{
 		Name:     "fixw",
 		Dialer:   collect.PipeDialer{Router: faulty},
 		Password: "pw",
 		Prompt:   "fixw> ",
 		Timeout:  100 * time.Millisecond,
-	})
-	m.AddTarget(mantra.Target{
+	}, {
 		Name:     "ucsb-r1",
 		Dialer:   collect.PipeDialer{Router: n.Router("ucsb-r1")},
 		Password: "pw",
 		Prompt:   "ucsb-r1> ",
 		Timeout:  5 * time.Second,
-	})
+	}}
+	return n, targets, faulty
+}
+
+// chaosMonitor builds a monitor polling chaosNetwork's two routers.
+func chaosMonitor(t *testing.T, profile router.FaultProfile, policy collect.Policy) (*netsim.Network, *mantra.Monitor, *router.FaultyRouter) {
+	t.Helper()
+	n, targets, faulty := chaosNetwork(t, profile)
+	m := mantra.New()
+	m.SetCollectPolicy(policy)
+	for _, tgt := range targets {
+		m.AddTarget(tgt)
+	}
 	return n, m, faulty
 }
 
@@ -223,6 +232,20 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 // faults only (no random background failures), and the primary watch
 // target optionally wrapped in the session-fault layer.
 func incidentMonitor(t testing.TB, profile *router.FaultProfile, primary string) (*netsim.Network, *mantra.Monitor) {
+	n, targets := incidentNetwork(t, profile, primary)
+	m := mantra.New()
+	m.SetCollectPolicy(incidentPolicy())
+	for _, tgt := range targets {
+		m.AddTarget(tgt)
+	}
+	return n, m
+}
+
+// incidentNetwork builds the 3-router network the library scenarios
+// assume — dom00 transitioned to native sparse mode, random flaps and
+// restarts off — with the session-fault profile (nil = none) on the
+// primary watch target, returning the targets to poll.
+func incidentNetwork(t testing.TB, profile *router.FaultProfile, primary string) (*netsim.Network, []mantra.Target) {
 	cfg := topo.DefaultInternetConfig()
 	cfg.NumDomains = 4
 	inet := topo.BuildInternet(cfg)
@@ -231,23 +254,15 @@ func incidentMonitor(t testing.TB, profile *router.FaultProfile, primary string)
 	ncfg.FlapPerDomainPerCycle = 0
 	ncfg.RestartPerCycle = 0
 	n := netsim.New(inet, wl, ncfg)
-	targets := []string{"fixw", "ucsb-r1", "dom00-gw"}
-	if err := n.Track(targets...); err != nil {
+	names := []string{"fixw", "ucsb-r1", "dom00-gw"}
+	if err := n.Track(names...); err != nil {
 		t.Fatal(err)
 	}
 	n.Step()
 	n.Step()
 	n.TransitionDomain("dom00")
-	m := mantra.New()
-	m.SetCollectPolicy(collect.Policy{
-		MaxAttempts: 3,
-		// The latency proofs reason in gaps, not breaker skips: keep the
-		// breaker out of the arithmetic.
-		BreakerThreshold: 1 << 20,
-		BreakerCooldown:  90 * time.Minute,
-		Sleep:            func(time.Duration) {},
-	})
-	for _, name := range targets {
+	var targets []mantra.Target
+	for _, name := range names {
 		n.Router(name).Password = "pw"
 		tgt := mantra.Target{
 			Name:     name,
@@ -260,9 +275,21 @@ func incidentMonitor(t testing.TB, profile *router.FaultProfile, primary string)
 			tgt.Dialer = collect.PipeDialer{Router: n.FaultyRouter(name, *profile)}
 			tgt.Timeout = 100 * time.Millisecond
 		}
-		m.AddTarget(tgt)
+		targets = append(targets, tgt)
 	}
-	return n, m
+	return n, targets
+}
+
+// incidentPolicy is the collection policy of the incident proofs.
+func incidentPolicy() collect.Policy {
+	return collect.Policy{
+		MaxAttempts: 3,
+		// The latency proofs reason in gaps, not breaker skips: keep the
+		// breaker out of the arithmetic.
+		BreakerThreshold: 1 << 20,
+		BreakerCooldown:  90 * time.Minute,
+		Sleep:            func(time.Duration) {},
+	}
 }
 
 // degradedProfile is the session-fault mix applied to the primary watch

@@ -19,10 +19,11 @@
 // and a restart recovers the series, tables and health ledger to their
 // pre-crash values (at most the final partial record is lost).
 //
-// With -concurrent, collection runs through the pipelined cycle engine
-// on a bounded worker pool (-concurrency N, default min(8, targets));
-// -stats prints the engine's per-stage timings each cycle, and the same
-// instrumentation is served at /stats.
+// Collection runs through the pipelined cycle engine on a bounded worker
+// pool (-concurrency N, default min(8, targets); 1 is the serial
+// schedule, with byte-identical results); -stats prints the engine's
+// per-stage timings each cycle, and the same instrumentation is served
+// at /stats.
 //
 // Detected anomalies (route injection, RP loss, SA storms, route leaks,
 // route flapping) are logged once when they open and once when they
@@ -81,10 +82,9 @@ func main() {
 	interval := flag.Duration("interval", 5*time.Second, "polling interval (wall clock)")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "HTTP address serving results")
 	cycles := flag.Int("cycles", 0, "stop after N cycles (0 = run forever)")
-	concurrent := flag.Bool("concurrent", false, "collect targets on a bounded worker pool")
-	concurrency := flag.Int("concurrency", 0, "collection worker pool size with -concurrent (0 = min(8, targets))")
+	concurrency := flag.Int("concurrency", 0, "collection worker pool size (0 = min(8, targets); 1 = serial)")
 	showStats := flag.Bool("stats", false, "print per-cycle engine stage timings")
-	aggregate := flag.Bool("aggregate", false, "publish a combined multi-router view (implies -concurrent)")
+	aggregate := flag.Bool("aggregate", false, "publish a combined multi-router view")
 	retries := flag.Int("retries", 3, "collection attempts per target per cycle")
 	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per retry)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failed cycles before a target's circuit breaker opens")
@@ -141,7 +141,6 @@ func main() {
 	})
 	if *aggregate {
 		m.EnableAggregation()
-		*concurrent = true
 	}
 	if *maxAnomalies > 0 {
 		m.SetMaxAnomalies(*maxAnomalies)
@@ -199,25 +198,14 @@ func main() {
 		}
 	}()
 
-	lastAnomalyID := -1
-	resolvedPrinted := make(map[int]bool)
+	anoms := newAnomalyLog()
 	for i := 0; *cycles == 0 || i < *cycles; i++ {
 		now := time.Now().UTC() //mantralint:allow wallclock composition root: live monitoring stamps cycles with real time and injects it downward
-		var stats []mantra.CycleStats
-		var err error
-		if *concurrent {
-			stats, err = m.RunCycleConcurrent(now)
-		} else {
-			stats, err = m.RunCycle(now)
-		}
+		stats, err := m.RunCycleConcurrent(now)
 		if err != nil {
 			log.Printf("mantra: cycle degraded: %v", err)
 		}
-		for _, st := range stats {
-			fmt.Printf("%s %-10s sessions=%-5d participants=%-5d active=%-4d senders=%-4d bw=%.0fkbps routes=%d churn=%d\n",
-				now.Format("15:04:05"), st.Target, st.Sessions, st.Participants,
-				st.ActiveSessions, st.Senders, st.BandwidthKbps, st.Routes, st.RouteChurn)
-		}
+		printStats(now, stats)
 		if *showStats {
 			if rep := m.LastCycleReport(); rep != nil {
 				fmt.Printf("%s engine cycle=%d workers=%d targets=%d failed=%d wall=%s queue_peak=%d collect=%s normalize=%s log=%s ingest=%s publish=%s\n",
@@ -252,19 +240,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		// Anomalies are episodes, not events: print each once when it
-		// opens and once when it resolves, rather than re-logging every
-		// open episode every cycle.
-		for _, a := range m.Anomalies() {
-			if a.ID > lastAnomalyID {
-				lastAnomalyID = a.ID
-				log.Printf("mantra: ANOMALY #%d %s %s at %s: %s", a.ID, a.Severity, a.Kind, a.Target, a.Detail)
-			}
-			if a.Resolved && !resolvedPrinted[a.ID] {
-				resolvedPrinted[a.ID] = true
-				log.Printf("mantra: RESOLVED #%d %s at %s after %s", a.ID, a.Kind, a.Target, a.ResolvedAt.Sub(a.At))
-			}
-		}
+		anoms.log(m.Anomalies())
 		time.Sleep(*interval)
 	}
 	if err := m.CloseArchive(time.Now().UTC()); err != nil { //mantralint:allow wallclock composition root: final checkpoint stamped with real time
@@ -324,19 +300,14 @@ func runSharded(sc shardedConfig) {
 		}
 	}()
 
-	lastAnomalyID := 0
-	resolvedPrinted := make(map[int]bool)
+	anoms := newAnomalyLog()
 	for i := 0; sc.cycles == 0 || i < sc.cycles; i++ {
 		now := time.Now().UTC() //mantralint:allow wallclock composition root: live monitoring stamps cycles with real time and injects it downward
 		res, err := s.RunCycle(now)
 		if err != nil {
 			log.Fatalf("mantra: shard cycle: %v", err)
 		}
-		for _, st := range res.Stats {
-			fmt.Printf("%s %-10s sessions=%-5d participants=%-5d active=%-4d senders=%-4d bw=%.0fkbps routes=%d churn=%d\n",
-				now.Format("15:04:05"), st.Target, st.Sessions, st.Participants,
-				st.ActiveSessions, st.Senders, st.BandwidthKbps, st.Routes, st.RouteChurn)
-		}
+		printStats(now, res.Stats)
 		if res.Handoffs > 0 {
 			log.Printf("mantra: %d shard handoff(s) at this boundary; blind=%v", res.Handoffs, res.Blind)
 		} else if len(res.Blind) > 0 {
@@ -355,17 +326,41 @@ func runSharded(sc shardedConfig) {
 					now.Format("15:04:05"), h.Target, h.Shard, h.Breaker, h.ConsecutiveFailures, h.GapCount, last)
 			}
 		}
-		for _, a := range s.FleetAnomalies() {
-			if a.ID > lastAnomalyID {
-				lastAnomalyID = a.ID
-				log.Printf("mantra: ANOMALY #%d %s %s at %s: %s", a.ID, a.Severity, a.Kind, a.Target, a.Detail)
-			}
-			if a.Resolved && !resolvedPrinted[a.ID] {
-				resolvedPrinted[a.ID] = true
-				log.Printf("mantra: RESOLVED #%d %s at %s after %s", a.ID, a.Kind, a.Target, a.ResolvedAt.Sub(a.At))
-			}
-		}
+		anoms.log(s.FleetAnomalies())
 		time.Sleep(sc.interval)
+	}
+}
+
+// printStats prints one line of cycle statistics per target that
+// produced a snapshot.
+func printStats(now time.Time, stats []mantra.CycleStats) {
+	for _, st := range stats {
+		fmt.Printf("%s %-10s sessions=%-5d participants=%-5d active=%-4d senders=%-4d bw=%.0fkbps routes=%d churn=%d\n",
+			now.Format("15:04:05"), st.Target, st.Sessions, st.Participants,
+			st.ActiveSessions, st.Senders, st.BandwidthKbps, st.Routes, st.RouteChurn)
+	}
+}
+
+// anomalyLog logs anomaly episodes as episodes, not events: each once
+// when it opens and once when it resolves, rather than re-logging every
+// open episode every cycle.
+type anomalyLog struct {
+	lastID   int
+	resolved map[int]bool
+}
+
+func newAnomalyLog() *anomalyLog { return &anomalyLog{lastID: -1, resolved: make(map[int]bool)} }
+
+func (l *anomalyLog) log(anoms []mantra.Anomaly) {
+	for _, a := range anoms {
+		if a.ID > l.lastID {
+			l.lastID = a.ID
+			log.Printf("mantra: ANOMALY #%d %s %s at %s: %s", a.ID, a.Severity, a.Kind, a.Target, a.Detail)
+		}
+		if a.Resolved && !l.resolved[a.ID] {
+			l.resolved[a.ID] = true
+			log.Printf("mantra: RESOLVED #%d %s at %s after %s", a.ID, a.Kind, a.Target, a.ResolvedAt.Sub(a.At))
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package engine schedules Mantra's monitoring cycle as the staged
 // pipeline the paper's §III design describes — Data Collector →
 // Router-Table Processor → Data Logger → Data Processor → Output
-// Interface — instead of the single barrier the Monitor used to run.
+// Interface.
 //
 // Each registered target flows through the stages independently:
 // Collect and Normalize run concurrently on a bounded worker pool, and a
@@ -18,8 +18,11 @@
 // across parallel maps (latest snapshot, route-stability tracker,
 // gap/success bookkeeping) and instruments every stage with per-target
 // timings and reorder-queue depth counters on an injected monotonic
-// clock, so the pipeline's speedup over the barrier is measured, not
-// asserted.
+// clock.
+//
+// Core is the one implementation of the stages themselves — Collect,
+// Normalize, Log, Ingest and the WAL group commit — shared by the
+// Monitor and every shard worker.
 package engine
 
 import (
@@ -93,11 +96,6 @@ type Options struct {
 	// Concurrency bounds the Collect/Normalize worker pool. Values
 	// below 1 mean 1; values above the target count are clamped to it.
 	Concurrency int
-	// Barrier restores the pre-pipeline two-phase schedule: every
-	// target finishes collection before any is processed. Retained so
-	// the pipeline's gain stays measurable (BenchmarkCycleEngine)
-	// rather than asserted.
-	Barrier bool
 	// Aggregate enables the final merge stage (needs Stages.Aggregate).
 	Aggregate bool
 }
@@ -314,7 +312,6 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 	report := &CycleReport{
 		At:          now,
 		Concurrency: conc,
-		Barrier:     opts.Barrier,
 		Targets:     n,
 		Stages:      make(map[Stage]StageStat),
 	}
@@ -372,23 +369,12 @@ func (e *Engine) Run(now time.Time, targets []collect.Target, opts Options) ([]*
 		if len(pending) > report.MaxQueueDepth {
 			report.MaxQueueDepth = len(pending)
 		}
-		if opts.Barrier {
-			continue
-		}
 		for pending[next] != nil {
 			rdy := pending[next]
 			delete(pending, next)
 			next++
 			processItem(rdy)
 		}
-	}
-	// Barrier mode deferred all processing to here; in pipelined mode
-	// everything already drained.
-	for next < n {
-		rdy := pending[next]
-		delete(pending, next)
-		next++
-		processItem(rdy)
 	}
 
 	var aggStats *process.CycleStats

@@ -128,37 +128,30 @@ func TestBoundedPool(t *testing.T) {
 
 // TestPipelinedOverlap: with the slowest target registered last, the
 // pipelined schedule must process earlier targets while the slow one is
-// still collecting; the barrier schedule must not process anything
-// before every collection has finished.
+// still collecting.
 func TestPipelinedOverlap(t *testing.T) {
 	const n = 8
-	run := func(barrier bool) (processedBeforeSlowDone int64) {
-		var slowDone atomic.Bool
-		var early int64
-		e := New(Stages{
-			Collect: func(it *Item, now time.Time) {
-				if it.Seq == n-1 {
-					time.Sleep(5 * time.Millisecond)
-					slowDone.Store(true)
-				}
-				okCollect(it, now)
-			},
-			Normalize: okNormalize,
-			Log: func(it *Item, _ time.Time) {
-				if !slowDone.Load() {
-					atomic.AddInt64(&early, 1)
-				}
-			},
-			Ingest: noop, Publish: noop,
-		}, nil)
-		e.Run(sim.Epoch, fakeTargets(n), Options{Concurrency: 2, Barrier: barrier})
-		return atomic.LoadInt64(&early)
-	}
-	if got := run(false); got == 0 {
+	var slowDone atomic.Bool
+	var early int64
+	e := New(Stages{
+		Collect: func(it *Item, now time.Time) {
+			if it.Seq == n-1 {
+				time.Sleep(5 * time.Millisecond)
+				slowDone.Store(true)
+			}
+			okCollect(it, now)
+		},
+		Normalize: okNormalize,
+		Log: func(it *Item, _ time.Time) {
+			if !slowDone.Load() {
+				atomic.AddInt64(&early, 1)
+			}
+		},
+		Ingest: noop, Publish: noop,
+	}, nil)
+	e.Run(sim.Epoch, fakeTargets(n), Options{Concurrency: 2})
+	if atomic.LoadInt64(&early) == 0 {
 		t.Error("pipelined: no target was processed while the slow collection ran")
-	}
-	if got := run(true); got != 0 {
-		t.Errorf("barrier: %d targets processed before all collections finished", got)
 	}
 }
 

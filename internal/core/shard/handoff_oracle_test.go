@@ -65,31 +65,31 @@ type oldRecord struct {
 // oldExport is the export every shard worker used to take of every
 // target after every committed cycle.
 func oldExport(c *shardCore, name string, at time.Time) *oldRecord {
-	r := &oldRecord{at: at, proc: c.proc.ExportTarget(name), latest: c.eng.Latest(name)}
-	r.log, r.hasLog = c.log.ExportTarget(name)
-	if rs := c.eng.Stability(name); rs != nil {
+	r := &oldRecord{at: at, proc: c.Proc.ExportTarget(name), latest: c.Engine.Latest(name)}
+	r.log, r.hasLog = c.Log.ExportTarget(name)
+	if rs := c.Engine.Stability(name); rs != nil {
 		r.stab = rs.ExportState()
 	}
-	r.health, r.hasHealth = c.collector.TargetHealth(name)
+	r.health, r.hasHealth = c.Collector.TargetHealth(name)
 	return r
 }
 
 // oldImport is the receiving side that export fed.
 func oldImport(c *shardCore, name string, r *oldRecord, now time.Time) {
-	c.proc.ImportTarget(name, r.proc)
+	c.Proc.ImportTarget(name, r.proc)
 	if r.hasLog {
-		c.log.ImportTarget(name, r.log)
+		c.Log.ImportTarget(name, r.log)
 	}
 	if r.stab != nil {
-		c.eng.SetStability(name, process.StabilityFromState(r.stab))
+		c.Engine.SetStability(name, process.StabilityFromState(r.stab))
 	} else {
-		c.eng.SetStability(name, nil)
+		c.Engine.SetStability(name, nil)
 	}
-	c.collector.ResetTarget(name)
+	c.Collector.ResetTarget(name)
 	if r.hasHealth {
-		c.collector.RestoreHealth(r.health, now)
+		c.Collector.RestoreHealth(r.health, now)
 	}
-	c.eng.SetLatest(name, r.latest)
+	c.Engine.SetLatest(name, r.latest)
 }
 
 // canonProc is a processor TargetState with its maps flattened in key
@@ -495,7 +495,7 @@ func runHandoffOracle(t *testing.T, f *oracleFleet, mode KillMode) oracleRun {
 	}
 	run.cycles = s.cycle
 	for _, w := range s.workers {
-		run.evicted += w.core.proc.AnomaliesEvicted()
+		run.evicted += w.core.Proc.AnomaliesEvicted()
 	}
 	return run
 }

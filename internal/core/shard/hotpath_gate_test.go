@@ -17,7 +17,7 @@ import (
 )
 
 // TestCommitAllocGate: committing a cycle that is no target's
-// checkpoint turn appends entries the WAL buffers already hold to tails
+// checkpoint turn appends entries the core's WAL queue already holds to tails
 // that have grown to their period, so it allocates a constant — zero —
 // that does not grow with the route count.
 func TestCommitAllocGate(t *testing.T) {
@@ -52,10 +52,16 @@ func TestCommitAllocGate(t *testing.T) {
 			w.commit(n.Now())
 			w.checkpointTurn(cycle, targets)
 		}
-		if len(core.pendDeltas) != len(names) {
-			t.Fatalf("%d domains: last cycle committed %d deltas, want %d", domains, len(core.pendDeltas), len(names))
+		deltas := 0
+		for _, e := range core.Pending() {
+			if !e.Gap {
+				deltas++
+			}
 		}
-		routes = append(routes, len(core.eng.Latest("fixw").Routes))
+		if deltas != len(names) {
+			t.Fatalf("%d domains: last cycle committed %d deltas, want %d", domains, deltas, len(names))
+		}
+		routes = append(routes, len(core.Engine.Latest("fixw").Routes))
 		lens := make(map[string]int, len(names))
 		for _, name := range names {
 			lens[name] = len(w.ckpt[name].tail) - 1

@@ -456,9 +456,9 @@ func (s *Supervisor) handoff(w *worker, now time.Time) error {
 	close(w.reqCh)
 	<-w.done
 	var errs []error
-	if w.core.store != nil {
-		errs = append(errs, w.core.store.Close())
-		w.core.store = nil
+	if w.core.Store != nil {
+		errs = append(errs, w.core.Store.Close())
+		w.core.Store = nil
 	}
 	s.handoffs++
 
@@ -510,10 +510,10 @@ func (s *Supervisor) markBlind(o *worker, name string, asOf, now time.Time) erro
 		if !ct.After(asOf) || !ct.Before(now) {
 			continue
 		}
-		o.core.proc.MarkGap(name, ct)
-		o.core.log.MarkGap(name, ct, handoffGapReason)
-		if o.core.store != nil {
-			if err := o.core.store.AppendGap(name, ct, handoffGapReason); err != nil && werr == nil {
+		o.core.Proc.MarkGap(name, ct)
+		o.core.Log.MarkGap(name, ct, handoffGapReason)
+		if o.core.Store != nil {
+			if err := o.core.Store.AppendGap(name, ct, handoffGapReason); err != nil && werr == nil {
 				werr = err
 			}
 		}
@@ -620,11 +620,11 @@ func (s *Supervisor) closeWorkers() error {
 			close(w.reqCh)
 			<-w.done
 		}
-		if w.core.store != nil {
-			if err := w.core.store.Close(); err != nil {
+		if w.core.Store != nil {
+			if err := w.core.Store.Close(); err != nil {
 				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 			}
-			w.core.store = nil
+			w.core.Store = nil
 		}
 	}
 	return errors.Join(errs...)

@@ -95,7 +95,7 @@ func (s *Supervisor) fleetAnomalies() []process.Anomaly {
 		if len(owned) == 0 {
 			continue
 		}
-		for _, an := range w.core.proc.Anomalies() {
+		for _, an := range w.core.Proc.Anomalies() {
 			if !owned[an.Target] {
 				continue
 			}
@@ -137,10 +137,10 @@ func (s *Supervisor) fleetHealth() []TargetHealthView {
 		if sh, ok := s.assign[t.Name]; ok {
 			row.Shard = sh
 			w := s.workers[sh]
-			if h, hok := w.core.collector.TargetHealth(t.Name); hok {
+			if h, hok := w.core.Collector.TargetHealth(t.Name); hok {
 				row.TargetHealth = h
 			}
-			if sr := w.core.proc.Series(t.Name, process.MetricRoutes); sr != nil {
+			if sr := w.core.Proc.Series(t.Name, process.MetricRoutes); sr != nil {
 				row.GapCount = sr.GapCount()
 			}
 		}
@@ -193,7 +193,7 @@ func (s *Supervisor) TargetSeries(name string, m process.Metric) *process.Series
 	if !ok {
 		return nil
 	}
-	return s.workers[sh].core.proc.Series(name, m)
+	return s.workers[sh].core.Proc.Series(name, m)
 }
 
 // SeriesView resolves a target's series through the last *published*
@@ -215,7 +215,7 @@ func (s *Supervisor) SeriesView(name string, m process.Metric) *process.Series {
 	if w == nil {
 		return nil
 	}
-	return w.core.proc.Series(name, m)
+	return w.core.Proc.Series(name, m)
 }
 
 // QueryFleet executes a store query across the fleet: each target is
@@ -256,7 +256,7 @@ func (s *Supervisor) QueryFleet(q tsdb.Query) (tsdb.Result, error) {
 	for _, name := range names {
 		store := s.fleetProc.Store()
 		if sh, ok := assign[name]; ok && sh >= 0 && sh < len(s.workers) && s.workers[sh] != nil {
-			store = s.workers[sh].core.proc.Store()
+			store = s.workers[sh].core.Proc.Store()
 		}
 		tr, err := store.QueryTarget(q, name)
 		if err != nil {
@@ -282,5 +282,5 @@ func (s *Supervisor) MaterializedView(name string, m process.Metric) *process.Se
 	if w == nil {
 		return nil
 	}
-	return w.core.proc.MaterializedSeries(name, m)
+	return w.core.Proc.MaterializedSeries(name, m)
 }

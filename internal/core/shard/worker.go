@@ -1,25 +1,25 @@
-// Shard workers: each one is a miniature monitor — its own resilient
-// collector, delta logger, processor and cycle engine, plus an optional
-// per-shard WAL store — driven over a request/response channel pair by
-// the supervisor. The worker goroutine owns its core exclusively while
+// Shard workers: each one is a miniature monitor — its own pipeline
+// core (resilient collector, delta logger, processor and cycle engine,
+// the same engine.Core the Monitor runs), plus an optional per-shard WAL
+// store — driven over a request/response channel pair by the
+// supervisor. The worker goroutine owns its core exclusively while
 // a cycle is in flight; between cycles the supervisor may reach into an
 // idle core directly (handoff imports, exports), with the next
 // request/response pair providing the happens-before edge.
 //
-// WAL writes are group-committed: the in-memory logger is updated
-// stage-by-stage during the cycle, but store frames are buffered and
-// persisted only after the cycle completes and the worker passes its
-// kill check. A worker killed mid-cycle therefore persists nothing for
-// that cycle — the frame sequence on disk never contains a cycle the
+// WAL writes are group-committed by the core: the in-memory logger is
+// updated stage-by-stage during the cycle, but store frames are queued
+// and persisted only after the cycle completes and the worker passes
+// its kill check. A worker killed mid-cycle therefore persists nothing
+// for that cycle — the frame sequence on disk never contains a cycle the
 // supervisor saw fail, which is what keeps cross-shard replay free of
-// duplicate and out-of-order frames after a handoff. The same buffered
+// duplicate and out-of-order frames after a handoff. The same queued
 // entries are then committed to each target's in-memory handoff tail,
 // so a handoff replays exactly the cycles the WAL holds, data dir or
 // not.
 package shard
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -74,19 +74,6 @@ func ckptPhase(name string) int {
 	return int(fnv1a(name) % ckptPeriod)
 }
 
-// cycleEntry is one target's outcome of one cycle as the group commit
-// writes it: a delta record (rec, stamped rec.At) or, with gap set, a
-// gap marker stamped at. The same entries buffer the cycle's WAL frames
-// and, once committed, make up the target's handoff tail.
-type cycleEntry struct {
-	target      string
-	gap         bool
-	at          time.Time
-	reason      string
-	rec         logger.CycleRecord
-	fullEntries uint64
-}
-
 // targetCkpt is one target's handoff record on its worker: the state
 // exported at the target's last checkpoint turn (or at its last import),
 // the cycles committed since, and the health ledger and latest snapshot
@@ -111,130 +98,46 @@ type targetCkpt struct {
 	log  logger.TargetState
 	stab *process.StabilityState
 	// The committed tail past the checkpoint, in cycle order.
-	tail []cycleEntry
+	tail []engine.CycleEntry
 	// Health and latest snapshot after the last committed cycle.
 	health    collect.TargetHealth
 	hasHealth bool
 	latest    *tables.Snapshot
 }
 
-// shardCore is one worker's processing stack.
+// shardCore is one worker's processing stack: the shared pipeline core
+// and the worker pool bound its cycles run with.
 type shardCore struct {
-	collector *collect.Collector
-	log       *logger.Logger
-	proc      *process.Processor
-	eng       *engine.Engine
-	store     *logger.Store
-	commands  []string
-	conc      int
-
-	// Cycle-local WAL buffers, flushed by persist after the kill check
-	// and then committed to the targets' handoff tails.
-	pendDeltas []cycleEntry
-	pendGaps   []cycleEntry
+	*engine.Core
+	conc int
 }
 
 func newCore(cfg Config, dir string) (*shardCore, error) {
 	c := &shardCore{
-		collector: collect.NewCollector(cfg.Policy),
-		log:       logger.New(),
-		proc:      process.New(),
-		commands:  cfg.Commands,
-		conc:      cfg.Concurrency,
+		Core: engine.NewCore(collect.NewCollector(cfg.Policy), cfg.Commands, cfg.Clock),
+		conc: cfg.Concurrency,
 	}
 	if cfg.MaxAnomalies > 0 {
-		c.proc.MaxAnomalies = cfg.MaxAnomalies
+		c.Proc.MaxAnomalies = cfg.MaxAnomalies
 	}
 	if cfg.SeriesRetain > 0 {
-		c.proc.SetSeriesRetain(cfg.SeriesRetain)
+		c.Proc.SetSeriesRetain(cfg.SeriesRetain)
 	}
-	c.eng = engine.New(c.stages(), cfg.Clock)
 	if dir != "" {
 		st, err := logger.OpenStore(dir, logger.StoreOptions{SyncEveryAppend: cfg.SyncEveryAppend})
 		if err != nil {
 			return nil, err
 		}
-		c.store = st
+		c.Store = st
 	}
 	return c, nil
 }
 
-// stages mirrors the Monitor's engine wiring, with one difference: the
-// durable-archive appends go to the cycle-local buffers instead of
-// straight to the store, so persistence can be fenced behind the kill
-// check.
-func (c *shardCore) stages() engine.Stages {
-	return engine.Stages{
-		Collect: func(it *engine.Item, now time.Time) {
-			it.Res = c.collector.Collect(it.Target, c.commands, now)
-		},
-		Normalize: func(it *engine.Item, now time.Time) {
-			sn, err := tables.BuildSnapshot(it.Res.Dumps)
-			if err != nil {
-				err = fmt.Errorf("collect %s: snapshot rejected: %w", it.Target.Name, err)
-				c.collector.RecordFailure(it.Target.Name, now, err)
-				it.Res.Status = collect.StatusDegraded
-				it.Res.Err = err
-				return
-			}
-			it.Snapshot = sn
-		},
-		Log: func(it *engine.Item, now time.Time) {
-			if it.Snapshot == nil {
-				reason := ""
-				if it.Res.Err != nil {
-					reason = it.Res.Err.Error()
-				}
-				c.log.MarkGap(it.Res.Target, now, reason)
-				c.pendGaps = append(c.pendGaps, cycleEntry{target: it.Res.Target, at: now, gap: true, reason: reason})
-				return
-			}
-			rec := c.log.Append(it.Snapshot)
-			c.pendDeltas = append(c.pendDeltas, cycleEntry{
-				target:      it.Snapshot.Target,
-				rec:         rec,
-				fullEntries: uint64(len(it.Snapshot.Pairs) + len(it.Snapshot.Routes)),
-			})
-		},
-		Ingest: func(it *engine.Item, now time.Time) {
-			if it.Snapshot == nil {
-				c.proc.MarkGap(it.Res.Target, now)
-				return
-			}
-			st := c.proc.Ingest(it.Snapshot)
-			it.Stats = &st
-		},
-		Publish: func(*engine.Item, time.Time) {},
-	}
-}
-
 // runCycle executes one engine cycle over the worker's assigned
-// targets, in-memory only; WAL frames land in the pending buffers.
+// targets, in-memory only; the WAL frames wait in the core's queue.
 func (c *shardCore) runCycle(now time.Time, targets []collect.Target) []*engine.Item {
-	c.pendDeltas = c.pendDeltas[:0]
-	c.pendGaps = c.pendGaps[:0]
-	items, _, _ := c.eng.Run(now, targets, engine.Options{Concurrency: c.conc})
+	items, _, _ := c.Run(now, targets, engine.Options{Concurrency: c.conc})
 	return items
-}
-
-// persist group-commits the buffered WAL frames for the cycle that just
-// completed. Items were buffered in registration order, so frame order
-// on disk matches the deterministic in-memory order.
-func (c *shardCore) persist() error {
-	if c.store == nil {
-		return nil
-	}
-	for _, d := range c.pendDeltas {
-		if err := c.store.AppendDelta(d.target, d.rec, d.fullEntries); err != nil {
-			return err
-		}
-	}
-	for _, g := range c.pendGaps {
-		if err := c.store.AppendGap(g.target, g.at, g.reason); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // exportInto captures a target's full state into its handoff record as
@@ -244,14 +147,14 @@ func (c *shardCore) persist() error {
 //
 //mantra:statetransfer root=handoff-export
 func (c *shardCore) exportInto(r *targetCkpt, name string) {
-	r.proc = c.proc.ExportTarget(name)
-	r.log, _ = c.log.ExportTarget(name)
+	r.proc = c.Proc.ExportTarget(name)
+	r.log, _ = c.Log.ExportTarget(name)
 	r.stab = nil
-	if rs := c.eng.Stability(name); rs != nil {
+	if rs := c.Engine.Stability(name); rs != nil {
 		r.stab = rs.ExportState()
 	}
-	r.health, r.hasHealth = c.collector.TargetHealth(name)
-	r.latest = c.eng.Latest(name)
+	r.health, r.hasHealth = c.Collector.TargetHealth(name)
+	r.latest = c.Engine.Latest(name)
 	clear(r.tail)
 	r.tail = r.tail[:0]
 }
@@ -274,27 +177,27 @@ func (c *shardCore) exportOne(name string) *targetCkpt {
 //
 //mantra:statetransfer root=handoff-import
 func (c *shardCore) restoreTarget(name string, r *targetCkpt, now time.Time) {
-	c.proc.ImportTarget(name, r.proc)
-	c.log.ImportTarget(name, r.log)
+	c.Proc.ImportTarget(name, r.proc)
+	c.Log.ImportTarget(name, r.log)
 	if r.stab != nil {
-		c.eng.SetStability(name, process.StabilityFromState(r.stab))
+		c.Engine.SetStability(name, process.StabilityFromState(r.stab))
 	} else {
-		c.eng.SetStability(name, nil)
+		c.Engine.SetStability(name, nil)
 	}
 	for i := range r.tail {
 		var ev logger.ReplayEvent
-		if e := &r.tail[i]; e.gap {
-			ev = c.log.ReplayGap(name, e.at, e.reason)
+		if e := &r.tail[i]; e.Gap {
+			ev = c.Log.ReplayGap(name, e.At, e.Reason)
 		} else {
-			ev = c.log.Replay(name, e.rec, e.fullEntries)
+			ev = c.Log.Replay(name, e.Rec, e.FullEntries)
 		}
-		c.eng.Replay(c.proc, ev, true)
+		c.Engine.Replay(c.Proc, ev, true)
 	}
-	c.collector.ResetTarget(name)
+	c.Collector.ResetTarget(name)
 	if r.hasHealth {
-		c.collector.RestoreHealth(r.health, now)
+		c.Collector.RestoreHealth(r.health, now)
 	}
-	c.eng.SetLatest(name, r.latest)
+	c.Engine.SetLatest(name, r.latest)
 }
 
 // removeTarget drops a target's live state after it moved elsewhere.
@@ -304,10 +207,10 @@ func (c *shardCore) restoreTarget(name string, r *targetCkpt, now time.Time) {
 //
 //mantra:statetransfer root=handoff-remove
 func (c *shardCore) removeTarget(name string) {
-	c.proc.ImportTarget(name, nil)
-	c.eng.SetStability(name, nil)
-	c.eng.SetLatest(name, nil)
-	c.collector.ResetTarget(name)
+	c.Proc.ImportTarget(name, nil)
+	c.Engine.SetStability(name, nil)
+	c.Engine.SetLatest(name, nil)
+	c.Collector.ResetTarget(name)
 }
 
 // worker is one supervised shard: a core, the goroutine driving it, and
@@ -347,8 +250,8 @@ func (w *worker) loop() {
 		case KillBeforeCycle:
 			return
 		case KillMidCycle:
-			// The cycle runs — in-memory state mutates, WAL buffers
-			// fill — and then the worker dies before persisting,
+			// The cycle runs — in-memory state mutates, the WAL queue
+			// fills — and then the worker dies before persisting,
 			// checkpointing or responding. Nothing from this cycle
 			// survives it.
 			w.core.runCycle(req.now, req.targets)
@@ -358,7 +261,7 @@ func (w *worker) loop() {
 			continue
 		}
 		items := w.core.runCycle(req.now, req.targets)
-		err := w.core.persist()
+		err := w.core.Persist()
 		w.commit(req.now)
 		w.checkpointTurn(req.cycle, req.targets)
 		w.respCh <- cycleResp{items: items, err: err}
@@ -377,26 +280,24 @@ func (w *worker) commit(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.lastBeat = now
-	for i := range w.core.pendDeltas {
-		w.commitEntry(&w.core.pendDeltas[i], now)
-	}
-	for i := range w.core.pendGaps {
-		w.commitEntry(&w.core.pendGaps[i], now)
+	pending := w.core.Pending()
+	for i := range pending {
+		w.commitEntry(&pending[i], now)
 	}
 }
 
 // commitEntry appends one committed cycle to its target's record.
 // Callers hold w.mu.
-func (w *worker) commitEntry(e *cycleEntry, now time.Time) {
-	r := w.ckpt[e.target]
+func (w *worker) commitEntry(e *engine.CycleEntry, now time.Time) {
+	r := w.ckpt[e.Target]
 	if r == nil {
 		r = &targetCkpt{}
-		w.ckpt[e.target] = r
+		w.ckpt[e.Target] = r
 	}
 	r.asOf = now
 	r.tail = append(r.tail, *e)
-	r.health, r.hasHealth = w.core.collector.TargetHealth(e.target)
-	r.latest = w.core.eng.Latest(e.target)
+	r.health, r.hasHealth = w.core.Collector.TargetHealth(e.Target)
+	r.latest = w.core.Engine.Latest(e.Target)
 }
 
 // checkpointTurn exports, as a fresh checkpoint, every target whose

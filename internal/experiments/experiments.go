@@ -161,13 +161,6 @@ type Runner struct {
 	// Stats accumulates the per-cycle results per target.
 	Stats map[string][]mantra.CycleStats
 
-	// PostHoc switches the figure pipeline to read the monitor's live
-	// in-memory rings directly, the pre-store legacy path. The default
-	// (false) streams every figure series out of the compressed
-	// long-horizon store via range queries; the two are byte-identical
-	// on an unbounded ring, which the seed-equivalence test proves.
-	PostHoc bool
-
 	monitorFrom time.Time
 }
 

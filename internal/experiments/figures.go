@@ -24,21 +24,11 @@ type FigureResult struct {
 	Notes  []string
 }
 
-// seriesOf resolves a figure's input series. The default path streams
-// the full history out of the compressed store (a materialized range
-// query — what the /query endpoint serves); PostHoc reads the live ring
-// directly. With unbounded rings the two are byte-identical, and with
-// bounded rings (-series-retain) only the streamed path still sees the
-// whole run — which is why it is the default.
-func (r *Runner) seriesOf(target string, m process.Metric) *process.Series {
-	if r.PostHoc {
-		return r.Mon.Series(target, m)
-	}
-	return r.Mon.MaterializedSeries(target, m)
-}
-
+// panel streams a figure's input series out of the compressed store — a
+// materialized range query, what the /query endpoint serves — so it
+// covers the whole run even with bounded hot rings (-series-retain).
 func (r *Runner) panel(target string, m process.Metric, name string) Panel {
-	return Panel{Name: name, Series: r.seriesOf(target, m)}
+	return Panel{Name: name, Series: r.Mon.MaterializedSeries(target, m)}
 }
 
 // Figure3 regenerates the four usage-count panels at FIXW.
@@ -280,19 +270,19 @@ func (r *Runner) UsageShape() ShapeReport {
 		return before, after
 	}
 
-	part := r.seriesOf("fixw", process.MetricParticipants)
+	part := r.Mon.MaterializedSeries("fixw", process.MetricParticipants)
 	pb, pa := settled(part)
 	rep.add("participants drop after transition",
 		"post-transition mean well below pre", fmt.Sprintf("%.0f -> %.0f", pb, pa),
 		pa < pb*0.8)
 
-	snd := r.seriesOf("fixw", process.MetricSenders)
+	snd := r.Mon.MaterializedSeries("fixw", process.MetricSenders)
 	sb, sa := settled(snd)
 	rep.add("senders remain comparable",
 		"post within 2x band of pre", fmt.Sprintf("%.1f -> %.1f", sb, sa),
 		sa > sb*0.5 && sa < sb*2.0)
 
-	ratio := r.seriesOf("fixw", process.MetricSenderRatio)
+	ratio := r.Mon.MaterializedSeries("fixw", process.MetricSenderRatio)
 	rb, ra := settled(ratio)
 	rep.add("sender/participant ratio rises",
 		"ratio increases after transition", fmt.Sprintf("%.3f -> %.3f", rb, ra),
@@ -301,7 +291,7 @@ func (r *Runner) UsageShape() ShapeReport {
 	// Session availability stabilizes: sparse mode filters the bursty
 	// single-member sessions out of FIXW's view, so the session count's
 	// relative dispersion (coefficient of variation) shrinks.
-	sess := r.seriesOf("fixw", process.MetricSessions)
+	sess := r.Mon.MaterializedSeries("fixw", process.MetricSessions)
 	var pre, post []float64
 	for i, tm := range sess.Times {
 		switch {
@@ -330,22 +320,22 @@ func (r *Runner) UsageShape() ShapeReport {
 		"session-count CV shrinks", fmt.Sprintf("cv %.2f -> %.2f", cb, ca),
 		ca < cb)
 
-	bw := r.seriesOf("fixw", process.MetricBandwidthKbps)
+	bw := r.Mon.MaterializedSeries("fixw", process.MetricBandwidthKbps)
 	mean, median, stddev, _, _ := bw.Stats()
 	rep.add("bandwidth magnitude (Fig 5 left)",
 		"mean ~4000 kbps, high dispersion",
 		fmt.Sprintf("mean %.0f median %.0f sd %.0f", mean, median, stddev),
 		mean > 1500 && mean < 12000 && stddev > mean/4)
 
-	saved := r.seriesOf("fixw", process.MetricSavedFactor)
+	saved := r.Mon.MaterializedSeries("fixw", process.MetricSavedFactor)
 	sm, _, _, _, _ := saved.Stats()
 	rep.add("bandwidth saved (Fig 5 right)",
 		"unicast equivalent a multiple >1 of multicast",
 		fmt.Sprintf("mean saved factor %.1fx", sm),
 		sm > 1.5)
 
-	dens := r.seriesOf("fixw", process.MetricAvgDensity)
-	dcorr := spikeAnticorrelation(r.seriesOf("fixw", process.MetricSessions), dens)
+	dens := r.Mon.MaterializedSeries("fixw", process.MetricAvgDensity)
+	dcorr := spikeAnticorrelation(r.Mon.MaterializedSeries("fixw", process.MetricSessions), dens)
 	rep.add("session spikes dip density (Fig 4)",
 		"session-count spikes coincide with density dips",
 		fmt.Sprintf("spike/dip agreement %.0f%%", dcorr*100),
@@ -380,8 +370,8 @@ func spikeAnticorrelation(a, b *process.Series) float64 {
 // RouteShape evaluates the Figure 7 findings on a completed run.
 func (r *Runner) RouteShape() ShapeReport {
 	var rep ShapeReport
-	fixw := r.seriesOf("fixw", process.MetricRoutes)
-	ucsb := r.seriesOf("ucsb-r1", process.MetricRoutes)
+	fixw := r.Mon.MaterializedSeries("fixw", process.MetricRoutes)
+	ucsb := r.Mon.MaterializedSeries("ucsb-r1", process.MetricRoutes)
 
 	_, _, sdF, minF, maxF := fixw.Stats()
 	rep.add("route counts unstable (Fig 7)",
@@ -404,7 +394,7 @@ func (r *Runner) RouteShape() ShapeReport {
 		fmt.Sprintf("%d/%d samples differ", diverge, n),
 		n > 0 && float64(diverge) > 0.02*float64(n))
 
-	churn := r.seriesOf("fixw", process.MetricRouteChurn)
+	churn := r.Mon.MaterializedSeries("fixw", process.MetricRouteChurn)
 	cm, _, _, _, _ := churn.Stats()
 	rep.add("routes churn continuously",
 		"non-zero mean churn per cycle",
@@ -417,7 +407,7 @@ func (r *Runner) RouteShape() ShapeReport {
 // falls to near zero by the end of the long-term window.
 func (r *Runner) DeclineShape() ShapeReport {
 	var rep ShapeReport
-	s := r.seriesOf("fixw", process.MetricRoutes)
+	s := r.Mon.MaterializedSeries("fixw", process.MetricRoutes)
 	if s == nil || s.Len() < 10 {
 		rep.add("long-term decline", "data present", "series too short", false)
 		return rep
@@ -451,7 +441,7 @@ func (r *Runner) DeclineShape() ShapeReport {
 // run: a sharp step at the injection time, flagged by the detector.
 func (r *Runner) InjectionShape() ShapeReport {
 	var rep ShapeReport
-	s := r.seriesOf("ucsb-r1", process.MetricRoutes)
+	s := r.Mon.MaterializedSeries("ucsb-r1", process.MetricRoutes)
 	if s == nil || s.Len() == 0 {
 		rep.add("injection visible", "data present", "no series", false)
 		return rep

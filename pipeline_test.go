@@ -1,7 +1,7 @@
 package mantra_test
 
-// Equivalence tests for the cycle engine: the pipelined and barrier
-// schedules must produce artifacts identical to the serial path — same
+// Equivalence tests for the cycle engine: the pipelined schedule must
+// produce artifacts identical to the serial path — same
 // series, same anomalies, same health ledger, same delta log, same
 // archive WAL bytes — for the same fault-injected scenario. The reorder
 // buffer is what makes this hold; these tests are what keep it honest.
@@ -57,9 +57,8 @@ func walBytes(t *testing.T, dir string) []byte {
 }
 
 // TestPipelinedCycleMatchesSerial is the engine's golden equivalence
-// test: the same fault-injected two-router scenario run serially,
-// pipelined and under the barrier schedule must agree on every artifact
-// the monitor produces.
+// test: the same fault-injected two-router scenario run serially and
+// pipelined must agree on every artifact the monitor produces.
 func TestPipelinedCycleMatchesSerial(t *testing.T) {
 	profile := router.FaultProfile{
 		RefuseConn:  0.08,
@@ -82,7 +81,6 @@ func TestPipelinedCycleMatchesSerial(t *testing.T) {
 	runs := []run{
 		{"serial", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycle(now) }},
 		{"pipelined", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycleConcurrent(now) }},
-		{"barrier", func(m *mantra.Monitor, now time.Time) ([]mantra.CycleStats, error) { return m.RunCycleBarrier(now) }},
 	}
 
 	const cycles = 60

@@ -39,15 +39,15 @@ type TargetHealth = collect.TargetHealth
 // wipe.
 func (m *Monitor) SetCollectPolicy(p collect.Policy) {
 	nc := collect.NewCollector(p)
-	nc.CarryState(m.collector)
-	m.collector = nc
+	nc.CarryState(m.core.Collector)
+	m.core.Collector = nc
 }
 
 // ResetCollectState wipes the per-target breakers and health ledger
 // while keeping the current policy — the old SetCollectPolicy behavior,
 // now opt-in.
 func (m *Monitor) ResetCollectState() {
-	m.collector = collect.NewCollector(m.collector.Policy())
+	m.core.Collector = collect.NewCollector(m.core.Collector.Policy())
 }
 
 // TargetHealthView is one /health target row: the collector's ledger —
@@ -72,17 +72,17 @@ type HealthView struct {
 func (m *Monitor) HealthView() HealthView {
 	rows := make([]TargetHealthView, 0, len(m.targets))
 	for _, t := range m.targets {
-		h, _ := m.collector.TargetHealth(t.Name)
+		h, _ := m.core.Collector.TargetHealth(t.Name)
 		if h.Target == "" {
 			h.Target = t.Name // not yet collected: name the empty row
 		}
 		row := TargetHealthView{TargetHealth: h}
-		if s := m.proc.Series(t.Name, process.MetricRoutes); s != nil {
+		if s := m.core.Proc.Series(t.Name, process.MetricRoutes); s != nil {
 			row.GapCount = s.GapCount()
 		}
 		rows = append(rows, row)
 	}
-	return HealthView{Targets: rows, Anomalies: m.proc.Rollup()}
+	return HealthView{Targets: rows, Anomalies: m.core.Proc.Rollup()}
 }
 
 // Health returns every registered target's collection health, in
@@ -90,7 +90,7 @@ func (m *Monitor) HealthView() HealthView {
 func (m *Monitor) Health() []TargetHealth {
 	out := make([]TargetHealth, 0, len(m.targets))
 	for _, t := range m.targets {
-		h, _ := m.collector.TargetHealth(t.Name)
+		h, _ := m.core.Collector.TargetHealth(t.Name)
 		out = append(out, h)
 	}
 	return out

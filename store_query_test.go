@@ -30,9 +30,10 @@ func figureBytes(t *testing.T, fig experiments.FigureResult) []byte {
 
 // TestFiguresStreamingEquivalence is the seed-equivalence proof for the
 // figure pipeline's move onto the compressed store: every usage figure
-// rendered from streamed store queries is byte-identical to the legacy
-// post-hoc ring read — and stays identical after the hot rings are
-// bounded, which the post-hoc path cannot survive.
+// rendered from streamed store queries is byte-identical to the same
+// figure built from the monitor's live in-memory rings — and stays
+// identical after the hot rings are bounded, which a ring read cannot
+// survive.
 func TestFiguresStreamingEquivalence(t *testing.T) {
 	r, err := experiments.NewRunner(experiments.UsageConfig(experiments.Quick))
 	if err != nil {
@@ -41,26 +42,45 @@ func TestFiguresStreamingEquivalence(t *testing.T) {
 	if err := r.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	figs := map[string]func() experiments.FigureResult{
-		"fig3": r.Figure3, "fig4": r.Figure4, "fig5": r.Figure5,
-		"fig6": r.Figure6, "fig7": r.Figure7,
+	type src struct {
+		target string
+		metric mantra.Metric
+	}
+	// Each figure's panels, in order, as the ring read resolves them.
+	figs := map[string]struct {
+		fig    func() experiments.FigureResult
+		panels []src
+	}{
+		"fig3": {r.Figure3, []src{{"fixw", mantra.MetricSessions}, {"fixw", mantra.MetricParticipants},
+			{"fixw", mantra.MetricActiveSessions}, {"fixw", mantra.MetricSenders}}},
+		"fig4": {r.Figure4, []src{{"fixw", mantra.MetricAvgDensity}, {"fixw", mantra.MetricSessions},
+			{"fixw", mantra.MetricParticipants}}},
+		"fig5": {r.Figure5, []src{{"fixw", mantra.MetricBandwidthKbps}, {"fixw", mantra.MetricSavedFactor}}},
+		"fig6": {r.Figure6, []src{{"fixw", mantra.MetricActiveRatio}, {"fixw", mantra.MetricSenderRatio}}},
+		"fig7": {r.Figure7, []src{{"ucsb-r1", mantra.MetricRoutes}, {"fixw", mantra.MetricRoutes}}},
 	}
 	streamed := map[string][]byte{}
-	for id, fig := range figs {
-		r.PostHoc = false
-		streamed[id] = figureBytes(t, fig())
-		r.PostHoc = true
-		if posthoc := figureBytes(t, fig()); !bytes.Equal(streamed[id], posthoc) {
-			t.Errorf("%s: streamed render differs from post-hoc ring read", id)
+	for id, f := range figs {
+		fig := f.fig()
+		streamed[id] = figureBytes(t, fig)
+		if len(fig.Panels) != len(f.panels) {
+			t.Fatalf("%s: %d panels, reference lists %d", id, len(fig.Panels), len(f.panels))
 		}
-		r.PostHoc = false
+		ring := fig
+		ring.Panels = make([]experiments.Panel, len(fig.Panels))
+		for i, p := range fig.Panels {
+			ring.Panels[i] = experiments.Panel{Name: p.Name, Series: r.Mon.Series(f.panels[i].target, f.panels[i].metric)}
+		}
+		if posthoc := figureBytes(t, ring); !bytes.Equal(streamed[id], posthoc) {
+			t.Errorf("%s: streamed render differs from the ring read", id)
+		}
 	}
 
 	// Bound the hot rings to near the detection floor: the rings shrink,
 	// the streamed figures must not move a byte.
 	r.Mon.SetSeriesRetain(10)
-	for id, fig := range figs {
-		if got := figureBytes(t, fig()); !bytes.Equal(streamed[id], got) {
+	for id, f := range figs {
+		if got := figureBytes(t, f.fig()); !bytes.Equal(streamed[id], got) {
 			t.Errorf("%s: streamed render changed after bounding the hot rings", id)
 		}
 	}
